@@ -8,6 +8,20 @@ results toward the decision end of the b chain, decisions and partial sums
 travel back toward the channel.  The order is computed once per code and
 reused; executing it is a flat loop of vectorized ops over a batch of words
 (SC) or over a batch times a path list (SCL).
+
+SCL path state is register-major: a soft file with rows la | lb | dec and a
+hard file with rows ua | ub, each (rows, B, L), so a register is one
+contiguous (B, L) block and ops act on its first npath path slots.  Ranked
+paths map to slots through a (B, npath) table, and metrics are kept in slot
+order.  At an information decision a source slot keeps its first surviving
+extension in place and each further one is copied into a free slot, moving
+only the registers the liveness pass marks live; nothing is zeroed, since
+every other register is written before it is read.  Each information decision
+records (bit index, source rank, bit), and one backward traceback from the
+final ranking rebuilds the information bits (frozen bits are 0 on all paths).
+Per chunk SCL holds about B * L * (18 P + 8 N + 9 K) bytes for P pairs,
+N positions and K information bits: 0.18 MB per word at (320,160) with
+P = 1044 and L = 8, so the SC-sized default chunk of 4096 needs 750 MB.
 """
 
 from __future__ import annotations
@@ -34,25 +48,23 @@ class _Op:
     elem: int            # pair element for f/g/xor, bit index (0-based) for dec
     dst: tuple           # (route, idx) for f/g and dec; unused for xor
     dst_b: tuple = None  # second output of xor, (route, idx)
-    live: tuple = None   # for dec ops: live register columns at this point
+    live: tuple = None   # for dec ops: (soft, hard) register rows to move
 
 
 class DecodeSchedule:
     """Compiled op order for one coupling sequence and frozen set."""
 
-    def __init__(self, seq, frozen_mask, ops):
+    def __init__(self, seq, frozen_mask, ops, channel_sinks):
         self.seq = seq
         self.n_code = seq.n_code
         self.frozen_mask = frozen_mask
         self.ops = ops
+        # channel_sinks[j]: the (route, idx) register where index j's channel
+        # LLR enters, its last element or its decision buffer when untouched
+        self.channel_sinks = channel_sinks
 
     def __len__(self):
         return len(self.ops)
-
-    @property
-    def buffer_size(self):
-        """LLR registers the executor allocates (two per pair element)."""
-        return 2 * len(self.seq)
 
     def as_tuples(self):
         """Human-readable op list: (a, b, 'f'|'g'|'xor') and (i, 'd'), 1-based."""
@@ -113,6 +125,10 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
         e, side = chains[j][p + 1]
         return (_TO_UA if side == 0 else _TO_UB, e)
 
+    sinks = [(_TO_DEC, j) if not ch else
+             (_TO_LA if ch[-1][1] == 0 else _TO_LB, ch[-1][0])
+             for j, ch in enumerate(chains)]
+
     have = np.zeros((n_elem, 4), dtype=bool)  # la, lb, ua, ub
     queue = deque()
     ops = []
@@ -136,13 +152,8 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
         elif have[idx, 2] and have[idx, 3]:
             queue.append((_XOR, idx))
 
-    for j in range(n_code):
-        ch = chains[j]
-        if not ch:
-            queue.append((_DEC, j))
-            continue
-        e, side = ch[-1]
-        deliver_llr(_TO_LA if side == 0 else _TO_LB, e)
+    for route, idx in sinks:
+        deliver_llr(route, idx)
 
     while queue:
         kind, idx = queue.popleft()
@@ -176,56 +187,45 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
 
     if len(ops) != 3 * n_elem + n_code:
         raise ValueError("schedule stalled; sequence has a dependency cycle")
-    ops = _attach_liveness(ops, pairs, n_elem, n_code)
-    return DecodeSchedule(seq, frozen_mask, ops)
+    ops = _attach_liveness(ops, n_elem, n_code)
+    return DecodeSchedule(seq, frozen_mask, ops, sinks)
 
 
-def _attach_liveness(ops, pairs, n_elem, n_code):
-    """Record, at each decision, which register columns a path clone must copy.
+def _attach_liveness(ops, n_elem, n_code):
+    """Record, at each decision, which registers a path copy must move.
 
-    Write time -1 marks channel-seeded registers, -2 never written; a column
-    is live at time t when written before t and read after t (La/Lb die at
-    their g, Ua/Ub at their xor, a decision buffer at its decision).
+    Rows number the SCL register files, soft la | lb | dec and hard ua | ub
+    (la e -> e, lb e -> P + e, dec j -> 2P + j; ua e -> e, ub e -> P + e).
+    A register is live at time t when an op wrote it before t and it is read
+    after t: La/Lb die at their g, Ua/Ub at their xor, a decision buffer at
+    its decision.  Channel-seeded registers are never rewritten and hold the
+    same value on every path, so they are never moved.
     """
-    la_w = np.full(n_elem, -2, dtype=np.int64)
-    lb_w = np.full(n_elem, -2, dtype=np.int64)
-    ua_w = np.full(n_elem, -2, dtype=np.int64)
-    ub_w = np.full(n_elem, -2, dtype=np.int64)
-    dec_w = np.full(n_code, -2, dtype=np.int64)
-    sink = [(_TO_DEC, j) for j in range(n_code)]
-    for e in range(n_elem):
-        sink[pairs[e, 0] - 1] = (_TO_LA, e)
-        sink[pairs[e, 1] - 1] = (_TO_LB, e)
-    for route, idx in sink:
-        (la_w if route == _TO_LA else lb_w if route == _TO_LB else dec_w)[idx] = -1
-    g_t = np.full(n_elem, -1, dtype=np.int64)
-    xor_t = np.full(n_elem, -1, dtype=np.int64)
-    dec_t = np.full(n_code, -1, dtype=np.int64)
-    writes = {_TO_LA: la_w, _TO_LB: lb_w, _TO_UA: ua_w, _TO_UB: ub_w, _TO_DEC: dec_w}
+    rows = {_TO_LA: 0, _TO_LB: n_elem, _TO_DEC: 2 * n_elem,
+            _TO_UA: 0, _TO_UB: n_elem}
+    soft_w = np.full(2 * n_elem + n_code, -1)    # op write time, -1 for none
+    hard_w = np.full(2 * n_elem, -1)
+    soft_end = np.full(2 * n_elem + n_code, -1)  # time of the last read
+    hard_end = np.full(2 * n_elem, -1)
     for t, op in enumerate(ops):
+        e = op.elem
         if op.kind == _G:
-            g_t[op.elem] = t
+            soft_end[[e, n_elem + e]] = t
         elif op.kind == _XOR:
-            xor_t[op.elem] = t
+            hard_end[[e, n_elem + e]] = t
         elif op.kind == _DEC:
-            dec_t[op.elem] = t
-        for dst in ((op.dst,) if op.kind != _XOR else (op.dst, op.dst_b)):
-            route, idx = dst
-            if route in writes:
-                writes[route][idx] = t
+            soft_end[2 * n_elem + e] = t
+        for route, idx in (op.dst, op.dst_b) if op.kind == _XOR else (op.dst,):
+            if route != _TO_X:
+                w = hard_w if route in (_TO_UA, _TO_UB) else soft_w
+                w[rows[route] + idx] = t
     out = []
     for t, op in enumerate(ops):
-        if op.kind != _DEC:
-            out.append(op)
-            continue
-        live = (
-            np.nonzero((la_w > -2) & (la_w < t) & (g_t > t))[0],
-            np.nonzero((lb_w > -2) & (lb_w < t) & (g_t > t))[0],
-            np.nonzero((ua_w > -2) & (ua_w < t) & (xor_t > t))[0],
-            np.nonzero((ub_w > -2) & (ub_w < t) & (xor_t > t))[0],
-            np.nonzero((dec_w > -2) & (dec_w < t) & (dec_t > t))[0],
-        )
-        out.append(_Op(_DEC, op.elem, op.dst, None, live))
+        if op.kind == _DEC:
+            live = tuple(np.nonzero((w >= 0) & (w < t) & (end > t))[0]
+                         for w, end in ((soft_w, soft_end), (hard_w, hard_end)))
+            op = _Op(_DEC, op.elem, op.dst, None, live)
+        out.append(op)
     return out
 
 
@@ -254,6 +254,18 @@ def f_minsum(la, lb):
 _F_RULES = {"exact": f_exact, "minsum": f_minsum}
 
 
+def _decoder_llrs(spec: CodeSpec, llrs):
+    """(B, N) float LLRs; NaN is rejected and +/-inf saturates to +/-LLR_SAT."""
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
+    if llrs.shape[-1] != spec.n_code:
+        raise ValueError(f"expected {spec.n_code} LLRs, got {llrs.shape[-1]}")
+    if not np.isfinite(llrs).all():
+        if np.isnan(llrs).any():
+            raise ValueError("LLRs contain NaN")
+        llrs = np.where(np.isinf(llrs), np.copysign(LLR_SAT, llrs), llrs)
+    return llrs
+
+
 @dataclass
 class ScBatchResult:
     u_hat: np.ndarray          # (B, N) input-word estimates
@@ -277,10 +289,8 @@ def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None,
     """
     f_rule = _F_RULES[f_mode]
     sched = schedule_for(spec)
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
+    llrs = _decoder_llrs(spec, llrs)
     bsz, n = llrs.shape
-    if n != spec.n_code:
-        raise ValueError(f"expected {spec.n_code} LLRs, got {n}")
     n_elem = len(sched.seq)
     la = np.zeros((bsz, n_elem))
     lb = np.zeros((bsz, n_elem))
@@ -298,10 +308,7 @@ def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None,
     llr_sinks = {_TO_LA: la, _TO_LB: lb, _TO_DEC: dec}
     hard_sinks = {_TO_UA: ua, _TO_UB: ub, _TO_X: x_hat}
 
-    for j in range(n):
-        # channel LLR of index j lands at its last element (or its decision
-        # buffer when no pair touches j)
-        route, idx = _channel_sink(sched, j)
+    for j, (route, idx) in enumerate(sched.channel_sinks):
         llr_sinks[route][:, idx] = llrs[:, j]
 
     for op in sched.ops:
@@ -341,19 +348,6 @@ def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None,
     return ScBatchResult(u_hat, x_hat, dec, info_pos, trace)
 
 
-def _channel_sink(sched: DecodeSchedule, j):
-    key = "_chan_sinks"
-    cached = getattr(sched, key, None)
-    if cached is None:
-        pairs = sched.seq.pairs
-        cached = [(_TO_DEC, i) for i in range(sched.n_code)]
-        for e in range(pairs.shape[0]):
-            cached[pairs[e, 0] - 1] = (_TO_LA, e)
-            cached[pairs[e, 1] - 1] = (_TO_LB, e)
-        setattr(sched, key, cached)
-    return cached[j]
-
-
 def sc_decode(spec: CodeSpec, llrs, f_mode="exact"):
     """Decode one word; returns (info-bit estimates, re-encoded codeword)."""
     res = sc_decode_batch(spec, llrs, f_mode=f_mode)
@@ -388,108 +382,109 @@ def scl_decode_batch(spec: CodeSpec, llrs, list_size, f_mode="exact") -> SclBatc
     deciding 0 followed by all deciding 1, stable-sorted by path metric, best
     ``list_size`` kept.  The metric grows by |L| whenever a decision opposes
     the LLR sign.  With a CRC configured the best checking path is selected,
-    else the metric-best.
+    else the metric-best.  The state layout and its memory are described in
+    the module docstring.
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
     f_rule = _F_RULES[f_mode]
     sched = schedule_for(spec)
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
+    llrs = _decoder_llrs(spec, llrs)
     bsz, n = llrs.shape
-    if n != spec.n_code:
-        raise ValueError(f"expected {spec.n_code} LLRs, got {n}")
     n_elem = len(sched.seq)
     frozen = sched.frozen_mask
 
-    # path-parallel state: axis 0 batch, axis 1 paths
-    npath = 1
-    la = np.zeros((bsz, 1, n_elem))
-    lb = np.zeros((bsz, 1, n_elem))
-    ua = np.zeros((bsz, 1, n_elem), dtype=np.uint8)
-    ub = np.zeros((bsz, 1, n_elem), dtype=np.uint8)
-    dec = np.zeros((bsz, 1, n))
-    u_hat = np.zeros((bsz, 1, n), dtype=np.uint8)
-    x_hat = np.zeros((bsz, 1, n), dtype=np.uint8)
-    pm = np.zeros((bsz, 1))
+    # register-major state: soft rows la | lb | dec, hard rows ua | ub
+    soft = np.empty((2 * n_elem + n, bsz, list_size))
+    hard = np.empty((2 * n_elem, bsz, list_size), dtype=np.uint8)
 
-    llr_sinks = {_TO_LA: la, _TO_LB: lb, _TO_DEC: dec}
-    for j in range(n):
-        route, idx = _channel_sink(sched, j)
-        llr_sinks[route][:, :, idx] = llrs[:, None, j]
+    def registers(width):
+        s, h = soft[:, :, :width], hard[:, :, :width]
+        regs = (s[:n_elem], s[n_elem:2 * n_elem], s[2 * n_elem:], h[:n_elem], h[n_elem:])
+        return regs + (dict(zip((_TO_LA, _TO_LB, _TO_DEC, _TO_UA, _TO_UB), regs)),)
+
+    la, lb, dec, ua, ub, to = registers(list_size)
+    for j, (route, idx) in enumerate(sched.channel_sinks):
+        to[route][idx] = llrs[:, j, None]
+    npath = 1
+    la, lb, dec, ua, ub, to = registers(npath)
+    batch = np.arange(bsz)[:, None]
+    slot = np.zeros((bsz, 1), dtype=np.int64)  # path slot of each ranked path
+    pm = np.zeros((bsz, 1))                    # path metrics in slot order
+    trail = []   # (bit index, source rank, bit) per information decision
 
     for op in sched.ops:
         e = op.elem
+        route, idx = op.dst
         if op.kind == _F:
-            val = f_rule(la[:, :, e], lb[:, :, e])
-            route, idx = op.dst
-            (la if route == _TO_LA else lb if route == _TO_LB else dec)[:, :, idx] = val
+            to[route][idx] = f_rule(la[e], lb[e])
         elif op.kind == _G:
-            val = np.where(ua[:, :, e] == 1, -la[:, :, e], la[:, :, e]) + lb[:, :, e]
-            route, idx = op.dst
-            (la if route == _TO_LA else lb if route == _TO_LB else dec)[:, :, idx] = val
+            to[route][idx] = np.where(ua[e] == 1, -la[e], la[e]) + lb[e]
         elif op.kind == _XOR:
-            va = ua[:, :, e] ^ ub[:, :, e]
-            vb = ub[:, :, e]
-            for (route, idx), v in ((op.dst, va), (op.dst_b, vb)):
-                (ua if route == _TO_UA else ub if route == _TO_UB else x_hat)[:, :, idx] = v
+            if route != _TO_X:
+                to[route][idx] = ua[e] ^ ub[e]
+            route_b, idx_b = op.dst_b
+            if route_b != _TO_X:
+                to[route_b][idx_b] = ub[e]
+        elif frozen[e]:
+            l_i = dec[e]
+            pm = pm + np.where(l_i < 0, -l_i, 0.0)
+            if route != _TO_X:
+                to[route][idx] = 0
         else:
-            l_i = dec[:, :, e]
-            if frozen[e]:
-                pm = pm + np.where(l_i < 0, -l_i, 0.0)
-                bits = np.zeros((bsz, npath), dtype=np.uint8)
-                u_hat[:, :, e] = bits
-                route, idx = op.dst
-                (ua if route == _TO_UA else ub if route == _TO_UB else x_hat)[:, :, idx] = bits
-                continue
-            # duplicate: candidate p decides 0, candidate npath+p decides 1
+            # duplicate in rank order: candidate p decides 0, npath+p decides 1
+            l_i = dec[e]
             pen0 = np.where(l_i < 0, -l_i, 0.0)
             pen1 = np.where(l_i > 0, l_i, 0.0)
-            cand_pm = np.concatenate([pm + pen0, pm + pen1], axis=1)
+            cand_pm = np.concatenate([pm + pen0, pm + pen1], axis=1)[
+                batch, np.concatenate([slot, slot + npath], axis=1)]
             keep = min(2 * npath, list_size)
             order = np.argsort(cand_pm, axis=1, kind="stable")[:, :keep]
             src = order % npath
             bits = (order >= npath).astype(np.uint8)
-            pm = np.take_along_axis(cand_pm, order, axis=1)
-            la_l, lb_l, ua_l, ub_l, dec_l = op.live
-            la = _clone(la, src, la_l, n_elem)
-            lb = _clone(lb, src, lb_l, n_elem)
-            ua = _clone(ua, src, ua_l, n_elem)
-            ub = _clone(ub, src, ub_l, n_elem)
-            dec = _clone(dec, src, dec_l, n)
-            u_hat = np.take_along_axis(u_hat, src[:, :, None], axis=1)
-            x_hat = np.take_along_axis(x_hat, src[:, :, None], axis=1)
-            npath = keep
-            u_hat[:, :, e] = bits
-            route, idx = op.dst
-            (ua if route == _TO_UA else ub if route == _TO_UB else x_hat)[:, :, idx] = bits
+            # a source slot keeps its first survivor in place; each further
+            # survivor is copied into a slot freed by a dropped path or opened
+            phys = slot[batch, src]
+            by_slot = np.argsort(phys, axis=1, kind="stable")
+            old = phys[batch, by_slot]
+            dup = np.zeros(old.shape, dtype=bool)
+            dup[:, 1:] = old[:, 1:] == old[:, :-1]
+            taken = np.zeros(old.shape, dtype=bool)
+            taken[batch, old] = True
+            free = np.argsort(taken, axis=1, kind="stable")
+            new = old.copy()
+            new[dup] = free[batch, np.cumsum(dup, axis=1) - 1][dup]
+            base = np.nonzero(dup)[0] * list_size
+            for regs, rows in zip((soft, hard), op.live):
+                flat = regs.reshape(len(regs), -1)
+                flat[rows[:, None], base + new[dup]] = flat[rows[:, None], base + old[dup]]
+            slot = np.empty_like(new)
+            slot[batch, by_slot] = new
+            pm = np.empty((bsz, keep))
+            pm[batch, slot] = cand_pm[batch, order]
+            trail.append((e, src, bits))
+            if keep != npath:
+                npath = keep
+                la, lb, dec, ua, ub, to = registers(npath)
+            if route != _TO_X:
+                to[route][idx][batch, slot] = bits
 
     # frozen-bit penalties after the last duplication can reorder paths
+    pm = pm[batch, slot]
     order = np.argsort(pm, axis=1, kind="stable")
-    pm = np.take_along_axis(pm, order, axis=1)
-    u_hat = np.take_along_axis(u_hat, order[:, :, None], axis=1)
+    pm = pm[batch, order]
     info_pos = np.asarray(spec.info, dtype=np.int64) - 1
-    info_bits = u_hat[:, :, info_pos]
-    if spec.crc is not None:
-        ok = crc_check(info_bits.reshape(-1, info_pos.size), spec.crc)
-        ok = ok.reshape(bsz, npath)
-        any_ok = ok.any(axis=1)
-        first_ok = np.argmax(ok, axis=1)
-        selected = np.where(any_ok, first_ok, 0)
-        crc_ok = any_ok
+    info_bits = np.empty((bsz, npath, info_pos.size), dtype=np.uint8)
+    rank = order
+    for e, src, bits in reversed(trail):
+        info_bits[:, :, np.searchsorted(info_pos, e)] = bits[batch, rank]
+        rank = src[batch, rank]
+    if spec.crc is None:
+        ok = np.ones((bsz, npath), dtype=bool)
     else:
-        selected = np.zeros(bsz, dtype=np.int64)
-        crc_ok = np.ones(bsz, dtype=bool)
-    return SclBatchResult(info_bits, pm, selected, crc_ok)
-
-
-def _clone(arr, src, live_cols, width):
-    """Duplicate path state along axis 1, copying only still-live columns."""
-    bsz, keep = src.shape
-    out = np.zeros((bsz, keep, width), dtype=arr.dtype)
-    if live_cols.size:
-        gathered = np.take_along_axis(arr[:, :, live_cols], src[:, :, None], axis=1)
-        out[:, :, live_cols] = gathered
-    return out
+        ok = crc_check(info_bits.reshape(-1, info_pos.size), spec.crc).reshape(bsz, npath)
+    # the first checking path in metric order, else the metric-best
+    return SclBatchResult(info_bits, pm, np.argmax(ok, axis=1), ok.any(axis=1))
 
 
 def scl_decode(spec: CodeSpec, llrs, list_size, f_mode="exact"):

@@ -246,6 +246,7 @@ def test_criterion_09_decoder_oracles():
     assert time.monotonic() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_10_performance_ordering(bec, fam64_awgn):
     # (5,2): stitched beats the punctured baseline with separated CIs
     stc = _ex5_spec()

@@ -109,6 +109,22 @@ def test_decode_error_path(capsys, tmp_path):
     assert "expected 5 llrs" in rep["message"]
 
 
+def test_decode_rejects_nan_llr(capsys, tmp_path):
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text("nan,1.0,-2.0,3.0,0.5\n")
+    for extra in ((), ("--list", "4")):
+        code, out, err = _run(capsys, "decode", "--code", str(spec_path),
+                              "--llr", str(llr_path), *extra)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "ValueError"
+        assert "NaN" in rep["message"]
+
+
 def test_bad_channel_token(capsys, tmp_path):
     code, _, err = _run(capsys, "construct-family", "--max-len", "3",
                         "--channel", "gauss", "--out", str(tmp_path / "f.json"))

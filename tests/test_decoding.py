@@ -11,6 +11,7 @@ from stitchpolar.decoding import (LLR_SAT, compile_schedule, f_exact, f_minsum,
                                   schedule_for)
 from stitchpolar.reliability import ChannelModel, build_baseline
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
+from stitchpolar.stitching import partially_stitched
 
 
 def _hard_llrs(x, scale=LLR_SAT):
@@ -147,12 +148,63 @@ def test_genie_decisions_follow_forced_bits(rng):
 
 
 def test_scl_list1_equals_sc(rng):
-    for (n, _), d in list(V.SHORT_CODES.items())[:5]:
-        spec = CodeSpec(CouplingSequence(n, d["pairs"]), d["info"])
+    specs = [CodeSpec(CouplingSequence(n, d["pairs"]), d["info"])
+             for (n, _), d in list(V.SHORT_CODES.items())[:5]]
+    specs.append(build_baseline("qup", 11, 4, ChannelModel("bec", 0.5)))
+    for spec in specs:
+        n = spec.n_code
         llrs = rng.normal(size=(6, n)) * 2
+        # exact zeros tie both decisions, as punctured positions do
+        llrs[rng.random(llrs.shape) < 0.3] = 0.0
+        if spec.rate_match is not None:
+            llrs = rm_llrs(spec, llrs[:, :spec.outer_length])
         sc = sc_decode_batch(spec, llrs)
         scl = scl_decode_batch(spec, llrs, list_size=1)
         assert (scl.chosen_bits == sc.info_bits).all()
+
+
+def test_scl_batch_matches_single(rng, fam8):
+    """Batched list decoding is word-for-word the single-word decode."""
+    base, _ = partially_stitched(24, 12, 3, fam8)
+    spec = CodeSpec(base.sequence, base.info, crc=CrcConfig((1, 0, 1, 1)))
+    ops = compile_schedule(spec.sequence, spec.frozen).as_tuples()
+    fired = [op[0] for op in ops if len(op) == 2 and op[0] in spec.info]
+    assert fired != sorted(fired)
+    msg = rng.integers(0, 2, size=(20, spec.message_length)).astype(np.uint8)
+    x = np.array([encode(spec, m) for m in msg])
+    llrs = _hard_llrs(x, scale=1.0) + rng.normal(size=x.shape) * 1.2
+    llrs[rng.random(llrs.shape) < 0.1] = 0.0
+    res = scl_decode_batch(spec, llrs, list_size=8)
+    for i in range(llrs.shape[0]):
+        one = scl_decode_batch(spec, llrs[i:i + 1], list_size=8)
+        assert (res.info_bits[i] == one.info_bits[0]).all()
+        assert (res.metrics[i] == one.metrics[0]).all()
+        assert res.selected[i] == one.selected[0]
+        assert res.crc_ok[i] == one.crc_ok[0]
+    assert not res.crc_ok.all()
+
+
+def test_decoders_reject_nan_and_saturate_inf(rng):
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    llrs = rng.normal(size=(3, 5))
+    bad = llrs.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        sc_decode_batch(spec, bad)
+    with pytest.raises(ValueError, match="NaN"):
+        scl_decode_batch(spec, bad, list_size=2)
+    inf = llrs.copy()
+    inf[0, 1], inf[2, 4] = np.inf, -np.inf
+    sat = np.where(np.isinf(inf), np.copysign(LLR_SAT, inf), inf)
+    got, want = sc_decode_batch(spec, inf), sc_decode_batch(spec, sat)
+    assert (got.u_hat == want.u_hat).all()
+    assert np.array_equal(got.decision_llrs, want.decision_llrs)
+    assert np.isfinite(got.decision_llrs).all()
+    got, want = scl_decode_batch(spec, inf, 2), scl_decode_batch(spec, sat, 2)
+    assert (got.info_bits == want.info_bits).all()
+    assert np.array_equal(got.metrics, want.metrics)
+    assert np.isfinite(got.metrics).all()
+    assert np.isposinf(inf[0, 1])  # the caller's array is left as it was
 
 
 def test_scl_full_list_is_metric_ml(rng):

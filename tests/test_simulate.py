@@ -5,13 +5,14 @@ import pytest
 
 import oracles as O
 import vectors as V
-from stitchpolar.codes import CodeSpec, encode
+from stitchpolar.codes import CodeSpec, CrcConfig, encode
 from stitchpolar.decoding import LLR_SAT, compile_schedule, sc_decode_batch
 from stitchpolar.reliability import ChannelModel, channel_from_snr_db
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
 from stitchpolar.simulate import (SimConfig, channel_transmit, clopper_pearson,
                                   simulate_bler, snr_search, sweep_lengths,
                                   write_sweep_csv)
+from stitchpolar.stitching import partially_stitched
 
 
 def _ex5_spec():
@@ -122,6 +123,15 @@ def test_simulate_with_list_decoding():
     sc = simulate_bler(SimConfig(spec, chan, seed=9, trials=20_000))
     scl = simulate_bler(SimConfig(spec, chan, seed=9, trials=20_000, list_size=4))
     assert scl.bler <= sc.bler
+
+
+def test_crc_scl_fixed_seed_counts(fam8):
+    """Seeded CRC-aided SCL counts on a small stitched code stay pinned."""
+    base, _ = partially_stitched(40, 20, 3, fam8)
+    spec = CodeSpec(base.sequence, base.info, crc=CrcConfig((1, 0, 1, 1)))
+    res = simulate_bler(SimConfig(spec, channel_from_snr_db(-1.0), seed=3,
+                                  trials=2048, chunk=256, list_size=8))
+    assert (res.errors, res.bit_errors) == (39, 227)
 
 
 def test_snr_search_bec():
