@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,39 +45,43 @@ class CrcConfig:
 CRC11 = CrcConfig((1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
 
 
+@lru_cache(maxsize=None)
+def _crc_parity(k, crc: CrcConfig):
+    """(K, L) GF(2) matrix whose row i is x^(K-1-i+L) mod the polynomial."""
+    low = np.asarray(crc.polynomial[1:], dtype=np.uint8)
+    rows = np.empty((k, crc.length), dtype=np.uint8)
+    r = low
+    for i in range(k - 1, -1, -1):
+        rows[i] = r
+        r = np.append(r[1:], np.uint8(0)) ^ (low if r[0] else 0)
+    parity = rows.astype(float)
+    parity.setflags(write=False)
+    return parity
+
+
 def crc_remainder(bits, crc: CrcConfig):
     """Remainder of bits * x^L divided by the CRC polynomial, MSB first.
 
-    ``bits`` is a (..., K) 0/1 array; the remainder has shape (..., L).
-    Long division with a zero-initialized register.
+    ``bits`` is a (..., K) 0/1 array; the remainder has shape (..., L).  The
+    CRC is linear over GF(2), so this is one product with a parity matrix
+    cached per (K, polynomial), reduced mod 2 (float64 sums are exact here).
     """
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    lead = bits.shape[:-1]
-    k = bits.shape[-1]
-    L = crc.length
-    poly = np.asarray(crc.polynomial, dtype=np.uint8)
-    work = np.concatenate([bits, np.zeros(lead + (L,), np.uint8)], axis=-1)
-    flat = work.reshape(-1, k + L)
-    for i in range(k):
-        rows = np.nonzero(flat[:, i])[0]
-        if rows.size:
-            flat[np.ix_(rows, np.arange(i, i + L + 1))] ^= poly
-    return work[..., k:]
+    bits = np.asarray(bits, dtype=np.uint8)
+    rem = bits @ _crc_parity(bits.shape[-1], crc)
+    return (rem % 2).astype(np.uint8)
 
 
 def crc_append(bits, crc: CrcConfig):
     """Message with its CRC parity appended."""
     bits = np.asarray(bits, dtype=np.uint8)
-    rem = crc_remainder(bits, crc)
-    rem = rem.reshape(bits.shape[:-1] + (crc.length,))
-    return np.concatenate([bits, rem], axis=-1)
+    return np.concatenate([bits, crc_remainder(bits, crc)], axis=-1)
+
 
 def crc_check(bits, crc: CrcConfig):
     """True where the trailing parity matches the leading message."""
     bits = np.asarray(bits, dtype=np.uint8)
     k = bits.shape[-1] - crc.length
     rem = crc_remainder(bits[..., :k], crc)
-    rem = rem.reshape(bits.shape[:-1] + (crc.length,))
     return np.logical_not(np.any(rem ^ bits[..., k:], axis=-1))
 
 

@@ -4,7 +4,9 @@ For the BEC the erasure-probability recursion is exact.  For the BiAWGN
 channel the mean-LLR recursion uses the consistent-Gaussian assumption with a
 three-piece analytic fit of phi(x) = 1 - E[tanh(L/2)], L ~ N(x, 2x).  Both
 walk the coupling sequence in reverse listed order, the order in which the
-decoder peels transforms.
+decoder peels transforms: one stage per batch of disjoint pairs, applied by
+`evolve_stages` to the last axis of a state array.  `evolve` is the one
+channel-kind dispatch from a sequence to its profile.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def _check_valid(seq: CouplingSequence):
         raise ValueError(f"sequence not decodable (pair {res.first_bad})")
 
 
+def _stages(seq: CouplingSequence):
+    """0-based (a, b) index arrays of each pair batch, in evolution order."""
+    pairs = seq.pairs - 1
+    return [(pairs[s:e, 0], pairs[s:e, 1]) for s, e in reversed(seq.batch_slices())]
+
+
 def de_bec(seq: CouplingSequence, initial_z, check=True) -> ReliabilityProfile:
     """Exact erasure-probability evolution over a coupling sequence.
 
@@ -118,15 +126,7 @@ def de_bec(seq: CouplingSequence, initial_z, check=True) -> ReliabilityProfile:
         raise ValueError("initial_z length must equal n_code")
     if (z < 0).any() or (z > 1).any():
         raise ValueError("erasure probabilities must be in [0, 1]")
-    pairs = seq.pairs
-    for s, e in reversed(seq.batch_slices()):
-        a = pairs[s:e, 0] - 1
-        b = pairs[s:e, 1] - 1
-        za = z[..., a]
-        zb = z[..., b]
-        z[..., a] = za + zb - za * zb
-        z[..., b] = za * zb
-    return ReliabilityProfile("erasure_prob", z, z.copy())
+    return evolve_stages(z, _stages(seq), "bec")
 
 
 def _phi(x):
@@ -173,16 +173,31 @@ def ga_awgn(seq: CouplingSequence, initial_mean, check=True) -> ReliabilityProfi
         raise ValueError("initial_mean length must equal n_code")
     if (mu < 0).any():
         raise ValueError("mean LLRs must be nonnegative")
-    pairs = seq.pairs
-    for s, e in reversed(seq.batch_slices()):
-        a = pairs[s:e, 0] - 1
-        b = pairs[s:e, 1] - 1
-        ma = mu[..., a]
-        mb = mu[..., b]
-        mu[..., a] = _phi_inv(1.0 - (1.0 - _phi(ma)) * (1.0 - _phi(mb)))
-        mu[..., b] = ma + mb
-    pe = 0.5 * erfc(np.sqrt(mu) / 2.0)
-    return ReliabilityProfile("mean_llr", mu, pe)
+    return evolve_stages(mu, _stages(seq), "biawgn")
+
+
+def evolve_stages(state, stages, kind) -> ReliabilityProfile:
+    """Run (a, b) stages in place over the last axis of `state`; its profile.
+
+    A stage may hold any disjoint pairs, from any number of codes laid side
+    by side: each value sees the same operations in the same order.
+    """
+    for a, b in stages:
+        xa, xb = state[..., a], state[..., b]
+        if kind == "bec":
+            state[..., a] = xa + xb - xa * xb
+            state[..., b] = xa * xb
+        else:
+            state[..., a] = _phi_inv(1.0 - (1.0 - _phi(xa)) * (1.0 - _phi(xb)))
+            state[..., b] = xa + xb
+    if kind == "bec":
+        return ReliabilityProfile("erasure_prob", state, state.copy())
+    return ReliabilityProfile("mean_llr", state, 0.5 * erfc(np.sqrt(state) / 2.0))
+
+
+def evolve(seq: CouplingSequence, init, kind, check=False) -> ReliabilityProfile:
+    """DE (kind "bec") or GA (kind "biawgn") of `seq` from channel seeds."""
+    return (de_bec if kind == "bec" else ga_awgn)(seq, init, check=check)
 
 
 def profile_for(spec: CodeSpec, channel: ChannelModel, check=False) -> ReliabilityProfile:
@@ -191,9 +206,7 @@ def profile_for(spec: CodeSpec, channel: ChannelModel, check=False) -> Reliabili
     if spec.rate_match is not None:
         pattern, mode = spec.rate_match.pattern, spec.rate_match.mode
     init = initial_values(channel, spec.n_code, pattern, mode)
-    if channel.kind == "bec":
-        return de_bec(spec.sequence, init, check=check)
-    return ga_awgn(spec.sequence, init, check=check)
+    return evolve(spec.sequence, init, channel.kind, check=check)
 
 
 def select_info_set(profile: ReliabilityProfile, k):
@@ -258,10 +271,7 @@ def build_baseline(kind, n, k, channel: ChannelModel) -> CodeSpec:
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     init = initial_values(channel, n0, pattern, mode)
-    if channel.kind == "bec":
-        profile = de_bec(seq, init, check=False)
-    else:
-        profile = ga_awgn(seq, init, check=False)
+    profile = evolve(seq, init, channel.kind)
     order = np.argsort(profile.pe, kind="stable")
     blocked = pattern if pattern else frozenset()
     info = []

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .codes import CodeSpec, rm_encode
 from .decoding import LLR_SAT, rm_llrs, sc_decode_batch, scl_decode_batch
@@ -84,9 +84,9 @@ def clopper_pearson(errors, trials, confidence=0.95):
     if trials < 1:
         raise ValueError("need at least one trial")
     a = (1.0 - confidence) / 2.0
-    lo = 0.0 if errors == 0 else float(beta.ppf(a, errors, trials - errors + 1))
-    hi = 1.0 if errors == trials else float(beta.ppf(1.0 - a, errors + 1,
-                                                     trials - errors))
+    lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, a))
+    hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors,
+                                                       1.0 - a))
     return lo, hi
 
 

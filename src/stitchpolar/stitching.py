@@ -7,6 +7,15 @@ spreading each short-code output over a chosen long-code position).  Scanning
 every split point and rate split with density evolution yields, per (N, K),
 the best code found this way; a family of such codes then fills the sub-blocks
 of a shortened regular transform to reach arbitrary lengths at scale.
+
+The family search costs a few array operations per length, not one evolution
+per code.  Each entry records the evolution level of its pairs: its stitch
+pairs first (level 0), then its upper and lower parts side by side, one level
+deeper.  All n + 1 codes of length n, each under every stitched seeding, then
+evolve together in one state array with one gather and one update per level.
+The split search for every K of a length is one first-argmin over
+E[K, N', K'] = 1 - p_up[K'] p_down[K - K'], +inf where no split exists, which
+keeps the earliest (N', K') among equal errors.
 """
 
 from __future__ import annotations
@@ -19,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, StructuralError, spec_from_json, spec_to_json
-from .reliability import ChannelModel, de_bec, ga_awgn, initial_values
+# de_bec and ga_awgn stay importable here: perfbench/spans.py wraps them at this module
+from .reliability import (ChannelModel, de_bec, evolve, evolve_stages,  # noqa: F401
+                          ga_awgn, initial_values)
 from .sequences import (CouplingSequence, brs_pattern, make_regular_sequence,
                         regular_stage_pairs)
 
@@ -192,16 +203,9 @@ def load_family(path) -> CodeFamily:
         return CodeFamily.from_json(json.load(fh))
 
 
-def _evolve(seq, init, kind, check=False):
-    if kind == "bec":
-        return de_bec(seq, init, check=check)
-    return ga_awgn(seq, init, check=check)
-
-
-def _block_success(spec: CodeSpec, inits, kind):
-    """Product-form SC success probability for each seed vector in a batch."""
-    pe = _evolve(spec.sequence, inits, kind).pe
-    idx = np.asarray(spec.info, dtype=np.int64) - 1
+def _block_success(pe, info):
+    """Product-form SC success probability over `info`, per leading index."""
+    idx = np.asarray(info, dtype=np.int64) - 1
     if idx.size == 0:
         return np.ones(pe.shape[:-1])
     q = np.clip(1.0 - pe[..., idx], 0.0, 1.0)
@@ -211,7 +215,7 @@ def _block_success(spec: CodeSpec, inits, kind):
 def _stitch_step_values(channel: ChannelModel):
     """Post-stitch seed values: (degraded upper side, improved lower side)."""
     seq = CouplingSequence(2, [(1, 2)])
-    prof = _evolve(seq, initial_values(channel, 2), channel.kind)
+    prof = evolve(seq, initial_values(channel, 2), channel.kind)
     return float(prof.values[0]), float(prof.values[1])
 
 
@@ -232,10 +236,11 @@ def build_family(max_length, channel: ChannelModel = None) -> CodeFamily:
     if max_length < 1:
         raise ValueError("max_length must be positive")
     kind = channel.kind
-    base = channel.erasure_prob if kind == "bec" else channel.mean_llr
+    base = initial_values(channel, 1)
     up_val, down_val = _stitch_step_values(channel)
 
     entries = {}
+    levels = {}
     up_tab = {}
     down_tab = {}
 
@@ -247,52 +252,62 @@ def build_family(max_length, channel: ChannelModel = None) -> CodeFamily:
             return
         cols = np.arange(n)[None, :]
         rows = np.arange(1, t_max + 1)[:, None]
-        init_up = np.where(cols < rows, up_val, base)
-        init_down = np.where(cols < rows, down_val, base)
-        up = np.empty((n + 1, t_max))
-        down = np.empty((n + 1, t_max))
-        for k in range(n + 1):
-            spec = entries[(n, k)].spec
-            up[k] = _block_success(spec, init_up, kind)
-            down[k] = _block_success(spec, init_down, kind)
-        up_tab[n] = up
-        down_tab[n] = down
+        init = np.concatenate([np.where(cols < rows, up_val, base),
+                               np.where(cols < rows, down_val, base)])
+        # code k occupies state columns k n .. k n + n - 1
+        specs = [entries[(n, k)].spec for k in range(n + 1)]
+        level = np.concatenate([levels[(n, k)] for k in range(n + 1)])
+        order = np.argsort(level, kind="stable")
+        offset = np.repeat(np.arange(n + 1) * n, [len(sp.sequence) for sp in specs])
+        ab = (np.concatenate([sp.sequence.pairs for sp in specs]) - 1
+              + offset[:, None])[order]
+        stages = np.split(ab, np.cumsum(np.bincount(level))[:-1])
+        pe = evolve_stages(np.tile(init, n + 1), [(st[:, 0], st[:, 1]) for st in stages],
+                           kind).pe
+        tab = np.empty((n + 1, 2 * t_max))
+        for k, sp in enumerate(specs):
+            tab[k] = _block_success(pe[:, k * n:(k + 1) * n], sp.info)
+        up_tab[n] = tab[:, :t_max]
+        down_tab[n] = tab[:, t_max:]
 
     single = CouplingSequence(1, np.zeros((0, 2), dtype=np.int64))
     entries[(1, 0)] = FamilyEntry(CodeSpec(single, ()), 0.0)
     c11 = CodeSpec(single, (1,))
-    e11 = 1.0 - float(_block_success(c11, np.full(1, base), kind))
+    e11 = 1.0 - float(_block_success(evolve(single, base, kind).pe, c11.info))
     entries[(1, 1)] = FamilyEntry(c11, e11)
+    levels[(1, 0)] = levels[(1, 1)] = np.zeros(0, dtype=np.int64)
     component_tables(1)
 
     for n in range(2, max_length + 1):
+        # p_up[n' - 1, k'] and p_down[n' - 1, j] for a split at upper length n'
+        n_up = np.arange(1, n)
+        p_up = np.zeros((n - 1, n))
+        p_down = np.zeros((n - 1, n))
+        for nu in range(1, n):
+            t = min(nu, n - nu)
+            p_up[nu - 1, :nu + 1] = up_tab[nu][:, t - 1]
+            p_down[nu - 1, :n - nu + 1] = down_tab[n - nu][:, t - 1]
+        k_up = np.arange(n)
+        j = np.arange(n + 1)[:, None, None] - k_up
+        ok = (j >= 0) & (j <= (n - n_up)[:, None]) & (k_up <= n_up[:, None])
+        prod = p_up * p_down[n_up[:, None] - 1, np.clip(j, 0, n - 1)]
+        err = np.where(ok, 1.0 - prod, np.inf).reshape(n + 1, -1)
+        # errors lie in [0, 1]; when every split has error 1 the first valid
+        # one, (1, max(0, k - (n - 1))), is the sequential scan's fallback
+        first = err.argmin(axis=1)
         for k in range(n + 1):
-            e_min = 1.0
-            best = None
-            for n_up in range(1, n):
-                n_lo = n - n_up
-                t = min(n_up, n_lo)
-                k_lo = max(0, k - n_lo)
-                k_hi = min(n_up, k)
-                if k_lo > k_hi:
-                    continue
-                ks = np.arange(k_lo, k_hi + 1)
-                p_up = up_tab[n_up][k_lo:k_hi + 1, t - 1]
-                p_lo = down_tab[n_lo][k - ks, t - 1]
-                e_vec = 1.0 - p_up * p_lo
-                j = int(np.argmin(e_vec))
-                if e_vec[j] < e_min:
-                    e_min = float(e_vec[j])
-                    best = (n_up, k_lo + j)
-            if best is None:
-                best = (1, max(0, k - (n - 1)))
-            n_up, k_up = best
-            u_spec = entries[(n_up, k_up)].spec
-            l_spec = entries[(n - n_up, k - k_up)].spec
-            t = min(n_up, n - n_up)
+            e_min = float(err[k, first[k]])
+            nu, ku = divmod(int(first[k]), n)
+            nu += 1
+            u_spec = entries[(nu, ku)].spec
+            l_spec = entries[(n - nu, k - ku)].spec
+            t = min(nu, n - nu)
             seq = stitch_right(u_spec.sequence, l_spec.sequence, range(1, t + 1))
-            info = u_spec.info + tuple(i + n_up for i in l_spec.info)
+            info = u_spec.info + tuple(i + nu for i in l_spec.info)
             entries[(n, k)] = FamilyEntry(CodeSpec(seq, info), e_min)
+            levels[(n, k)] = np.concatenate([levels[(nu, ku)] + 1,
+                                             levels[(n - nu, k - ku)] + 1,
+                                             np.zeros(t, dtype=np.int64)])
         component_tables(n)
 
     return CodeFamily(max_length, channel, entries)
@@ -339,7 +354,8 @@ def allocate_rates(block_profiles, block_lengths, k, family: CodeFamily,
         stack = np.stack(seed_list)
         p = np.ones((stack.shape[0], ni + 1))
         for ki in range(1, ni + 1):
-            p[:, ki] = _block_success(family.spec(ni, ki), stack, kind)
+            sp = family.spec(ni, ki)
+            p[:, ki] = _block_success(evolve(sp.sequence, stack, kind).pe, sp.info)
         with np.errstate(divide="ignore"):
             log_tables[ni] = np.log(p)
 
@@ -380,13 +396,6 @@ class PartiallyStitchedLayout:
                 "block_lengths": list(self.block_lengths),
                 "block_dims": list(self.block_dims),
                 "pattern": list(self.pattern)}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(int(d["n"]), int(d["mother"]), int(d["block_size"]),
-                   tuple(int(x) for x in d["block_lengths"]),
-                   tuple(int(x) for x in d["block_dims"]),
-                   tuple(int(x) for x in d["pattern"]))
 
 
 def _coarse_stage_batches(n0, block, in_pattern):
@@ -457,7 +466,7 @@ def partially_stitched(n, k, s, family: CodeFamily, channel: ChannelModel = None
     cpairs, cbreaks = _concat_parts([(st, [0, st.shape[0]]) for st in coarse])
     coarse_seq = CouplingSequence(n0, cpairs, cbreaks)
     init = initial_values(channel, n0, pattern or None, "shorten")
-    values = _evolve(coarse_seq, init, channel.kind).values
+    values = evolve(coarse_seq, init, channel.kind).values
     seeds = np.split(values[live - 1], np.cumsum(lengths)[:-1])
     dims = allocate_rates(seeds, lengths, k, family, channel)
 
@@ -538,11 +547,11 @@ def stitched_polarization_count(n, s, family: CodeFamily, channel: ChannelModel 
     cpairs, cbreaks = _concat_parts([(st, [0, st.shape[0]]) for st in coarse])
     coarse_seq = CouplingSequence(n0, cpairs, cbreaks)
     init = initial_values(channel, n0, pattern or None, "shorten")
-    values = _evolve(coarse_seq, init, "bec").values
+    values = evolve(coarse_seq, init, "bec").values
     seeds = np.split(values[live - 1], np.cumsum(lengths)[:-1])
 
     def in_band(seq, stack):
-        z = _evolve(seq, stack, "bec").values
+        z = evolve(seq, stack, "bec").values
         cap = 1.0 - z
         return np.sum((cap >= lo) & (cap <= hi), axis=-1)
 

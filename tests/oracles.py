@@ -75,6 +75,24 @@ def min_distance_ref(matrix, info_rows):
 
 
 # ---------------------------------------------------------------------------
+# CRC by bit-serial long division
+
+def crc_remainder_ref(bits, poly):
+    """Remainder of each row of bits * x^L divided by poly, MSB first."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    k, L = bits.shape[-1], len(poly) - 1
+    out = np.zeros(bits.shape[:-1] + (L,), dtype=np.uint8)
+    for row in np.ndindex(bits.shape[:-1]):
+        work = [int(v) for v in bits[row]] + [0] * L
+        for i in range(k):
+            if work[i]:
+                for j, c in enumerate(poly):
+                    work[i + j] ^= c
+        out[row] = work[k:]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # density evolution, scalar pair-at-a-time recursion
 
 def de_bec_ref(pairs, n, eps):

@@ -4,9 +4,9 @@ import pytest
 import oracles as O
 import vectors as V
 from stitchpolar.codes import (CRC11, CodeSpec, CrcConfig, RateMatch,
-                               StructuralError, crc_append, crc_check, encode,
-                               generator_matrix, rm_encode, spec_from_json,
-                               spec_to_json)
+                               StructuralError, crc_append, crc_check,
+                               crc_remainder, encode, generator_matrix,
+                               rm_encode, spec_from_json, spec_to_json)
 from stitchpolar.reliability import ChannelModel, build_baseline
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
 
@@ -81,6 +81,23 @@ def test_crc11_properties(rng):
         bad = word.copy()
         bad[int(rng.integers(0, 27))] ^= 1
         assert not crc_check(bad, CRC11)
+
+
+def test_crc_remainder_matches_long_division(rng):
+    crc3 = CrcConfig((1, 0, 1, 1))
+    for crc in (CRC11, crc3):
+        for k in (0, 1, 2, 5, 16, 40, 171, 300):
+            batch = rng.integers(0, 2, size=(7, k)).astype(np.uint8)
+            ref = O.crc_remainder_ref(batch, crc.polynomial)
+            assert (crc_remainder(batch, crc) == ref).all()
+            assert crc_remainder(batch, crc).shape == (7, crc.length)
+            assert (crc_remainder(batch[0], crc) == ref[0]).all()
+            assert crc_remainder(batch[0], crc).shape == (crc.length,)
+            cube = batch[:6].reshape(2, 3, k)
+            assert (crc_remainder(cube, crc) == ref[:6].reshape(2, 3, -1)).all()
+            words = crc_append(batch, crc)
+            assert crc_check(words, crc).all()
+            assert crc_check(words[0], crc)
 
 
 def test_crc_rejects_bad_polynomial():

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 import oracles as O
 import vectors as V
@@ -56,6 +57,18 @@ def test_clopper_pearson():
     assert hi2 - lo2 < hi - lo
     with pytest.raises(ValueError):
         clopper_pearson(0, 0)
+
+
+def test_clopper_pearson_matches_beta_quantiles():
+    for trials in (1, 2, 3, 10, 97, 1000, 65536, 10 ** 6):
+        for errors in sorted({0, 1, trials // 3, trials - 1, trials}):
+            for confidence in (0.9, 0.95, 0.99):
+                a = (1.0 - confidence) / 2.0
+                lo = 0.0 if errors == 0 else float(
+                    beta.ppf(a, errors, trials - errors + 1))
+                hi = 1.0 if errors == trials else float(
+                    beta.ppf(1.0 - a, errors + 1, trials - errors))
+                assert clopper_pearson(errors, trials, confidence) == (lo, hi)
 
 
 def test_simulate_matches_exact_enumeration():
