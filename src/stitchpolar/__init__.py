@@ -13,7 +13,7 @@ from .analysis import (ScalingEstimate, coset_spectrum, count_unpolarized,
                        min_distance, reduced_generator, scaling_fit)
 from .codes import (CRC11, CodeSpec, CrcConfig, RateMatch, StructuralError,
                     crc_append, crc_check, encode, generator_matrix, load_spec,
-                    rm_encode, save_spec, spec_from_json, spec_to_json)
+                    rm_encode, spec_from_json, spec_to_json)
 from .decoding import (LLR_SAT, DecodeSchedule, sc_decode, sc_decode_batch,
                        sc_trace, schedule_for, scl_decode, scl_decode_batch,
                        rm_llrs)
@@ -47,7 +47,7 @@ __all__ = [
     "generator_matrix", "initial_values", "load_family", "load_spec",
     "make_regular_sequence", "min_distance", "partially_stitched",
     "profile_for", "qup_pattern", "reduced_generator", "rm_encode", "rm_llrs",
-    "save_family", "save_spec", "scaling_fit", "sc_decode", "sc_decode_batch",
+    "save_family", "scaling_fit", "sc_decode", "sc_decode_batch",
     "sc_trace", "schedule_for", "scl_decode", "scl_decode_batch",
     "select_info_set", "simulate_bler", "snr_search", "spec_from_json",
     "spec_to_json", "stitch_left", "stitch_right",

@@ -16,7 +16,8 @@ from .decoding import rm_llrs, sc_decode, scl_decode
 from .reliability import (ChannelModel, build_baseline, channel_from_snr_db,
                           de_bec, profile_for)
 from .sequences import make_regular_sequence
-from .simulate import SimConfig, simulate_bler, snr_search, sweep_lengths, write_sweep_csv
+from .simulate import (CHUNK_TRIALS, SimConfig, simulate_bler, snr_search,
+                       sweep_lengths, write_sweep_csv)
 from .stitching import (build_family, load_family, partially_stitched,
                         save_family, stitched_polarization_count)
 
@@ -133,7 +134,7 @@ def _cmd_simulate(args):
     cfg = SimConfig(spec, _channel_from_token(args.channel), seed=args.seed,
                     trials=args.trials, max_trials=args.max_trials,
                     min_errors=args.min_errors, list_size=args.list_size,
-                    f_mode="minsum" if args.minsum else "exact")
+                    f_mode="minsum" if args.minsum else "exact", chunk=args.chunk)
     res = simulate_bler(cfg, workers=args.workers)
     out = res.to_json()
     out["channel"] = args.channel
@@ -149,7 +150,7 @@ def _cmd_snr_search(args):
                     channel_kind=kind, seed=args.seed, list_size=args.list_size,
                     f_mode="minsum" if args.minsum else "exact", tol=args.tol,
                     max_trials=args.max_trials, min_errors=args.min_errors,
-                    workers=args.workers)
+                    workers=args.workers, chunk=args.chunk)
     _emit({"kind": kind, "param": sr.param,
            "bracket": list(sr.bracket),
            "evals": [{"param": p, "bler": r.bler, "trials": r.trials,
@@ -166,7 +167,8 @@ def _cmd_sweep(args):
                         _parse_pair(args.bracket, "bracket"), family=family,
                         design_channel=design, s=args.s, channel_kind=kind,
                         seed=args.seed, max_trials=args.max_trials,
-                        min_errors=args.min_errors, workers=args.workers)
+                        min_errors=args.min_errors, workers=args.workers,
+                        chunk=args.chunk)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_sweep_csv(res, fh)
     print(json.dumps({"rows": len(res.rows), "out": args.out}))
@@ -292,6 +294,7 @@ def build_parser():
     q.add_argument("--list", dest="list_size", type=int, default=1)
     q.add_argument("--minsum", action="store_true")
     q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_simulate)
 
@@ -307,6 +310,7 @@ def build_parser():
     q.add_argument("--max-trials", type=int, default=1_000_000)
     q.add_argument("--min-errors", type=int, default=100)
     q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.set_defaults(func=_cmd_snr_search)
 
     q = sub.add_parser("sweep", help="required SNR across lengths and schemes")
@@ -323,6 +327,7 @@ def build_parser():
     q.add_argument("--max-trials", type=int, default=1_000_000)
     q.add_argument("--min-errors", type=int, default=100)
     q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_sweep)
 

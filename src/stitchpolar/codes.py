@@ -159,11 +159,16 @@ class CodeSpec:
 
 
 def _apply_sequence(u, seq: CouplingSequence):
+    """Encode (B, N) input words in place.
+
+    The words are transposed once to (N, B), so that each batch slice XORs
+    whole contiguous rows, and transposed back.
+    """
+    rows = np.ascontiguousarray(u.T)
     pairs = seq.pairs
     for s, e in seq.batch_slices():
-        a = pairs[s:e, 0] - 1
-        b = pairs[s:e, 1] - 1
-        u[:, a] ^= u[:, b]
+        rows[pairs[s:e, 0] - 1] ^= rows[pairs[s:e, 1] - 1]
+    u[...] = rows.T
     return u
 
 
@@ -260,12 +265,6 @@ def spec_from_json(d: dict) -> CodeSpec:
     if rm_d and rm_d.get("mode", "none") != "none":
         rm = RateMatch(rm_d["mode"], frozenset(int(i) for i in rm_d["pattern"]))
     return CodeSpec(seq, info, crc=crc, rate_match=rm)
-
-
-def save_spec(spec: CodeSpec, path):
-    with open(path, "w") as fh:
-        json.dump(spec_to_json(spec), fh, indent=1)
-        fh.write("\n")
 
 
 def load_spec(path) -> CodeSpec:

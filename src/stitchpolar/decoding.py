@@ -6,49 +6,62 @@ schedule is the event-driven firing order: channel LLRs enter at each index's
 last element, f results travel toward the decision end of the a chain, g
 results toward the decision end of the b chain, decisions and partial sums
 travel back toward the channel.  The order is computed once per code and
-reused; executing it is a flat loop of vectorized ops over a batch of words
-(SC) or over a batch times a path list (SCL).
+reused.
 
-SCL path state is register-major: a soft file with rows la | lb | dec and a
-hard file with rows ua | ub, each (rows, B, L), so a register is one
-contiguous (B, L) block and ops act on its first npath path slots.  Ranked
-paths map to slots through a (B, npath) table, and metrics are kept in slot
-order.  At an information decision a source slot keeps its first surviving
-extension in place and each further one is copied into a free slot, moving
-only the registers the liveness pass marks live; nothing is zeroed, since
-every other register is written before it is read.  Each information decision
+One executor runs every schedule: SC is SCL with a list of one.  Its state is
+register-major, a soft file with rows la | lb | dec and a hard file with rows
+ua | ub, each (rows, B, L) for B words and list size L, so a register is one
+contiguous (B, L) block and an op is one vectorized kernel over it.  Every
+register is written once, before it is read, so nothing is zeroed.
+
+With L = 1 a decision is a threshold written in place into an (N, B) bit
+file, and nothing else is kept; the re-encoded codeword is one encode of the
+decided bits, made when asked for.  Per chunk SC holds about B * (18 P + 9 N)
+bytes for P pairs and N positions: 89 MB for 4096 words of the (320,160)
+stitched code (P = 1044) and 189 MB for a 512-mother QUP code (P = 2304).
+
+With L > 1 ranked paths map to path slots through a (B, npath) table, and
+metrics are kept in slot order.  At an information decision a source slot
+keeps its first surviving extension in place and each further one is copied
+into a free slot, moving only the registers live at that decision (found once
+per schedule, when a list decoder first asks).  Each information decision
 records (bit index, source rank, bit), and one backward traceback from the
-final ranking rebuilds the information bits (frozen bits are 0 on all paths).
-Per chunk SCL holds about B * L * (18 P + 8 N + 9 K) bytes for P pairs,
-N positions and K information bits: 0.18 MB per word at (320,160) with
-P = 1044 and L = 8, so the SC-sized default chunk of 4096 needs 750 MB.
+final ranking rebuilds the decided bits (frozen bits are 0 on all paths).
+Per chunk SCL holds about B * L * (18 P + 8 N + 9 K) bytes for K information
+bits: 0.18 MB per word at (320,160) with P = 1044 and L = 8, so the SC-sized
+default chunk of 4096 needs 750 MB.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .codes import CodeSpec, crc_check
+from .codes import CodeSpec, _apply_sequence, crc_check
 from .sequences import CouplingSequence, validate
 
 LLR_SAT = float(2 ** 20)
 
 _F, _G, _XOR, _DEC = 0, 1, 2, 3
-_TO_LA, _TO_LB, _TO_UA, _TO_UB, _TO_DEC, _TO_X = 0, 1, 2, 3, 4, 5
 
 
-@dataclass(frozen=True)
-class _Op:
+class _Op(NamedTuple):
+    """One schedule step.
+
+    Rows number the register files: soft la e -> e, lb e -> P + e,
+    dec j -> 2P + j; hard ua e -> e, ub e -> P + e.  A hard value that reaches
+    the channel end of its chain is not stored, its row is -1.
+    """
+
     kind: int
-    elem: int            # pair element for f/g/xor, bit index (0-based) for dec
-    dst: tuple           # (route, idx) for f/g and dec; unused for xor
-    dst_b: tuple = None  # second output of xor, (route, idx)
-    live: tuple = None   # for dec ops: (soft, hard) register rows to move
+    elem: int   # pair element for f/g/xor, bit index (0-based) for dec
+    dst: int    # soft row written by f/g, hard row by dec and xor's a side
+    dst_b: int  # hard row written by xor's b side
 
 
 class DecodeSchedule:
@@ -59,8 +72,8 @@ class DecodeSchedule:
         self.n_code = seq.n_code
         self.frozen_mask = frozen_mask
         self.ops = ops
-        # channel_sinks[j]: the (route, idx) register where index j's channel
-        # LLR enters, its last element or its decision buffer when untouched
+        # channel_sinks[j]: the soft row where index j's channel LLR enters,
+        # its last element or its decision buffer when untouched
         self.channel_sinks = channel_sinks
 
     def __len__(self):
@@ -79,6 +92,38 @@ class DecodeSchedule:
                 out.append((int(a), int(b), names[op.kind]))
         return out
 
+    @cached_property
+    def live(self):
+        """Rows a path copy must move at each information decision.
+
+        Maps the bit index to (soft rows, hard rows).  A register is live at
+        time t when an op wrote it before t and it is read after t: La/Lb die
+        at their g, Ua/Ub at their xor, a decision buffer at its decision.
+        Channel-seeded registers are never rewritten and hold the same value
+        on every path, so they are never moved.  Only list decoding reads
+        this; threads that race on the first read compute the same value.
+        """
+        kind, elem, dst, dst_b = np.fromiter(chain.from_iterable(self.ops), np.int64,
+                                             4 * len(self.ops)).reshape(-1, 4).T
+        t = np.arange(kind.size)
+        p = len(self.seq)
+        soft_w = np.full(2 * p + self.n_code, -1)   # op write time, -1 for none
+        hard_w = np.full(2 * p, -1)
+        soft_end = np.full(2 * p + self.n_code, -1)  # time of the last read
+        hard_end = np.full(2 * p, -1)
+        fg = kind <= _G
+        soft_w[dst[fg]] = t[fg]
+        for rows, writes in ((dst, kind >= _XOR), (dst_b, kind == _XOR)):
+            writes &= rows >= 0
+            hard_w[rows[writes]] = t[writes]
+        g, x, d = kind == _G, kind == _XOR, kind == _DEC
+        soft_end[elem[g]] = soft_end[p + elem[g]] = t[g]
+        hard_end[elem[x]] = hard_end[p + elem[x]] = t[x]
+        soft_end[2 * p + elem[d]] = t[d]
+        return {int(e): tuple(np.nonzero((w >= 0) & (w < td) & (end > td))[0]
+                              for w, end in ((soft_w, soft_end), (hard_w, hard_end)))
+                for td, e in zip(t[d], elem[d]) if not self.frozen_mask[e]}
+
 
 def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
     """Event-driven decode order for a valid sequence.
@@ -92,141 +137,85 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
     if not res.valid:
         raise ValueError(f"sequence not decodable (pair {res.first_bad})")
     n_code = seq.n_code
-    pairs = seq.pairs
-    n_elem = pairs.shape[0]
+    pairs = seq.pairs.tolist()
+    n_elem = len(pairs)
+    d0 = 2 * n_elem  # soft row of the first decision buffer
 
     frozen_mask = np.zeros(n_code, dtype=bool)
     for i in frozen:
         frozen_mask[i - 1] = True
 
-    # chains[j] = [(elem, 0 for a side | 1 for b side), ...] in listed order
-    chains = [[] for _ in range(n_code)]
-    for e in range(n_elem):
-        chains[pairs[e, 0] - 1].append((e, 0))
-        chains[pairs[e, 1] - 1].append((e, 1))
+    # rows[j]: register rows of index j's chain in listed order, on j's side
+    rows = [[] for _ in range(n_code)]
+    pos_a = [0] * n_elem
+    pos_b = [0] * n_elem
+    for e, (a, b) in enumerate(pairs):
+        pos_a[e] = len(rows[a - 1])
+        rows[a - 1].append(e)
+        pos_b[e] = len(rows[b - 1])
+        rows[b - 1].append(n_elem + e)
 
-    pos_a = np.zeros(n_elem, dtype=np.int64)
-    pos_b = np.zeros(n_elem, dtype=np.int64)
-    for j, ch in enumerate(chains):
-        for p, (e, side) in enumerate(ch):
-            (pos_a if side == 0 else pos_b)[e] = p
-
-    def up_route(j, p):
+    def up_row(j, p):
         # toward the decision end of index j's chain
-        if p == 0:
-            return (_TO_DEC, j)
-        e, side = chains[j][p - 1]
-        return (_TO_LA if side == 0 else _TO_LB, e)
+        return d0 + j if p == 0 else rows[j][p - 1]
 
-    def down_route(j, p):
+    def down_row(j, p):
         # toward the channel end of index j's chain
-        if p == len(chains[j]) - 1:
-            return (_TO_X, j)
-        e, side = chains[j][p + 1]
-        return (_TO_UA if side == 0 else _TO_UB, e)
+        return rows[j][p + 1] if p + 1 < len(rows[j]) else -1
 
-    sinks = [(_TO_DEC, j) if not ch else
-             (_TO_LA if ch[-1][1] == 0 else _TO_LB, ch[-1][0])
-             for j, ch in enumerate(chains)]
+    sinks = [ch[-1] if ch else d0 + j for j, ch in enumerate(rows)]
 
-    have = np.zeros((n_elem, 4), dtype=bool)  # la, lb, ua, ub
+    have_soft = np.zeros(d0, dtype=bool)  # la | lb delivered
+    have_hard = np.zeros(d0, dtype=bool)  # ua | ub delivered
     queue = deque()
     ops = []
 
-    def deliver_llr(route, idx):
-        if route == _TO_DEC:
-            queue.append((_DEC, idx))
+    def deliver_llr(row):
+        if row >= d0:
+            queue.append((_DEC, row - d0))
             return
-        slot = 0 if route == _TO_LA else 1
-        have[idx, slot] = True
-        if have[idx, 0] and have[idx, 1]:
-            queue.append((_F, idx))
+        have_soft[row] = True
+        e = row % n_elem
+        if have_soft[e] and have_soft[n_elem + e]:
+            queue.append((_F, e))
 
-    def deliver_u(route, idx):
-        if route == _TO_X:
+    def deliver_u(row):
+        if row < 0:
             return
-        slot = 2 if route == _TO_UA else 3
-        have[idx, slot] = True
-        if route == _TO_UA:
-            queue.append((_G, idx))
-        elif have[idx, 2] and have[idx, 3]:
-            queue.append((_XOR, idx))
+        have_hard[row] = True
+        e = row % n_elem
+        if row < n_elem:
+            queue.append((_G, e))
+        elif have_hard[e]:
+            queue.append((_XOR, e))
 
-    for route, idx in sinks:
-        deliver_llr(route, idx)
+    for row in sinks:
+        deliver_llr(row)
 
     while queue:
-        kind, idx = queue.popleft()
+        kind, e = queue.popleft()
         if kind == _F:
-            j = int(pairs[idx, 0]) - 1
-            dst = up_route(j, pos_a[idx])
-            ops.append(_Op(_F, idx, dst))
-            deliver_llr(*dst)
+            dst = up_row(pairs[e][0] - 1, pos_a[e])
+            ops.append(_Op(_F, e, dst, -1))
+            deliver_llr(dst)
         elif kind == _G:
-            j = int(pairs[idx, 1]) - 1
-            dst = up_route(j, pos_b[idx])
-            ops.append(_Op(_G, idx, dst))
-            deliver_llr(*dst)
+            dst = up_row(pairs[e][1] - 1, pos_b[e])
+            ops.append(_Op(_G, e, dst, -1))
+            deliver_llr(dst)
         elif kind == _DEC:
-            ch = chains[idx]
-            if ch:
-                e, side = ch[0]
-                dst = (_TO_UA if side == 0 else _TO_UB, e)
-            else:
-                dst = (_TO_X, idx)
-            ops.append(_Op(_DEC, idx, dst))
-            deliver_u(*dst)
+            dst = rows[e][0] if rows[e] else -1
+            ops.append(_Op(_DEC, e, dst, -1))
+            deliver_u(dst)
         else:
-            ja = int(pairs[idx, 0]) - 1
-            jb = int(pairs[idx, 1]) - 1
-            dst_a = down_route(ja, pos_a[idx])
-            dst_b = down_route(jb, pos_b[idx])
-            ops.append(_Op(_XOR, idx, dst_a, dst_b))
-            deliver_u(*dst_a)
-            deliver_u(*dst_b)
+            dst = down_row(pairs[e][0] - 1, pos_a[e])
+            dst_b = down_row(pairs[e][1] - 1, pos_b[e])
+            ops.append(_Op(_XOR, e, dst, dst_b))
+            deliver_u(dst)
+            deliver_u(dst_b)
 
     if len(ops) != 3 * n_elem + n_code:
         raise ValueError("schedule stalled; sequence has a dependency cycle")
-    ops = _attach_liveness(ops, n_elem, n_code)
-    return DecodeSchedule(seq, frozen_mask, ops, sinks)
-
-
-def _attach_liveness(ops, n_elem, n_code):
-    """Record, at each decision, which registers a path copy must move.
-
-    Rows number the SCL register files, soft la | lb | dec and hard ua | ub
-    (la e -> e, lb e -> P + e, dec j -> 2P + j; ua e -> e, ub e -> P + e).
-    A register is live at time t when an op wrote it before t and it is read
-    after t: La/Lb die at their g, Ua/Ub at their xor, a decision buffer at
-    its decision.  Channel-seeded registers are never rewritten and hold the
-    same value on every path, so they are never moved.
-    """
-    rows = {_TO_LA: 0, _TO_LB: n_elem, _TO_DEC: 2 * n_elem,
-            _TO_UA: 0, _TO_UB: n_elem}
-    soft_w = np.full(2 * n_elem + n_code, -1)    # op write time, -1 for none
-    hard_w = np.full(2 * n_elem, -1)
-    soft_end = np.full(2 * n_elem + n_code, -1)  # time of the last read
-    hard_end = np.full(2 * n_elem, -1)
-    for t, op in enumerate(ops):
-        e = op.elem
-        if op.kind == _G:
-            soft_end[[e, n_elem + e]] = t
-        elif op.kind == _XOR:
-            hard_end[[e, n_elem + e]] = t
-        elif op.kind == _DEC:
-            soft_end[2 * n_elem + e] = t
-        for route, idx in (op.dst, op.dst_b) if op.kind == _XOR else (op.dst,):
-            if route != _TO_X:
-                w = hard_w if route in (_TO_UA, _TO_UB) else soft_w
-                w[rows[route] + idx] = t
-    out = []
-    for t, op in enumerate(ops):
-        if op.kind == _DEC:
-            live = tuple(np.nonzero((w >= 0) & (w < t) & (end > t))[0]
-                         for w, end in ((soft_w, soft_end), (hard_w, hard_end)))
-            op = _Op(_DEC, op.elem, op.dst, None, live)
-        out.append(op)
-    return out
+    return DecodeSchedule(seq, frozen_mask, ops, np.asarray(sinks, dtype=np.int64))
 
 
 @lru_cache(maxsize=128)
@@ -266,86 +255,145 @@ def _decoder_llrs(spec: CodeSpec, llrs):
     return llrs
 
 
+def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
+             capture=False):
+    """Run the schedule over (B, N) LLRs, keeping up to ``list_size`` paths.
+
+    Returns (u, metrics, dec, trace).  ``u`` is (B, S, N): the decided bits
+    of the S surviving paths, best metric first.  ``metrics`` is their (B, S)
+    path metrics, or None at list size 1, which keeps none.  ``dec`` is the
+    (N, B, L) decision-LLR block of the soft file.  At list size 1 only,
+    ``forced_u`` pins every decision to the given (B, N) bits (genie mode)
+    and ``capture`` lists every op's output in schedule order as ``trace``.
+    """
+    f_rule = _F_RULES[f_mode]
+    bsz, n = llrs.shape
+    p = len(sched.seq)
+    d0 = 2 * p
+    frozen = sched.frozen_mask
+    soft = np.empty((d0 + n, bsz, list_size))
+    hard = np.empty((d0, bsz, list_size), dtype=np.uint8)
+    soft[sched.channel_sinks] = llrs.T[:, :, None]
+    genie = forced_u is not None
+    if list_size == 1:
+        u = np.zeros((n, bsz, 1), dtype=np.uint8)
+        if genie:
+            u[...] = np.atleast_2d(np.asarray(forced_u, dtype=np.uint8)).T[:, :, None]
+    else:
+        live = sched.live
+        batch = np.arange(bsz)[:, None]
+        slot = np.zeros((bsz, 1), dtype=np.int64)  # path slot of each ranked path
+        pm = np.zeros((bsz, 1))                    # path metrics in slot order
+        trail = []   # (bit index, source rank, bit) per information decision
+    npath = 1
+    s, h = soft[..., :npath], hard[..., :npath]
+    trace = [] if capture else None
+
+    for kind, e, dst, dst_b in sched.ops:
+        if kind == _F:
+            val = s[dst] = f_rule(s[e], s[p + e])
+        elif kind == _G:
+            la = s[e]
+            val = s[dst] = np.where(h[e] == 1, -la, la) + s[p + e]
+        elif kind == _XOR:
+            val = h[e] ^ h[p + e]
+            if dst >= 0:
+                h[dst] = val
+            if dst_b >= 0:
+                h[dst_b] = h[p + e]
+        else:
+            l_i = s[d0 + e]
+            if list_size == 1:
+                val = u[e]
+                if not (genie or frozen[e]):
+                    np.less(l_i, 0, out=val)
+            elif frozen[e]:
+                pm += np.where(l_i < 0, -l_i, 0.0)
+                val = 0
+            else:
+                # duplicate in rank order: candidate r decides 0, npath + r decides 1
+                pen0 = np.where(l_i < 0, -l_i, 0.0)
+                pen1 = np.where(l_i > 0, l_i, 0.0)
+                cand_pm = np.concatenate([pm + pen0, pm + pen1], axis=1)[
+                    batch, np.concatenate([slot, slot + npath], axis=1)]
+                keep = min(2 * npath, list_size)
+                order = np.argsort(cand_pm, axis=1, kind="stable")[:, :keep]
+                src = order % npath
+                bits = (order >= npath).astype(np.uint8)
+                # a source slot keeps its first survivor in place; each further
+                # survivor is copied into a slot freed by a dropped path or opened
+                phys = slot[batch, src]
+                by_slot = np.argsort(phys, axis=1, kind="stable")
+                old = phys[batch, by_slot]
+                dup = np.zeros(old.shape, dtype=bool)
+                dup[:, 1:] = old[:, 1:] == old[:, :-1]
+                taken = np.zeros(old.shape, dtype=bool)
+                taken[batch, old] = True
+                free = np.argsort(taken, axis=1, kind="stable")
+                new = old.copy()
+                new[dup] = free[batch, np.cumsum(dup, axis=1) - 1][dup]
+                base = np.nonzero(dup)[0] * list_size
+                for regs, rows in zip((soft, hard), live[e]):
+                    flat = regs.reshape(len(regs), -1)
+                    flat[rows[:, None], base + new[dup]] = flat[rows[:, None], base + old[dup]]
+                slot = np.empty_like(new)
+                slot[batch, by_slot] = new
+                pm = np.empty((bsz, keep))
+                pm[batch, slot] = cand_pm[batch, order]
+                trail.append((e, src, bits))
+                npath = keep
+                s, h = soft[..., :npath], hard[..., :npath]
+                val = np.empty((bsz, npath), dtype=np.uint8)
+                val[batch, slot] = bits
+            if dst >= 0:
+                h[dst] = val
+        if capture:
+            trace.append(val[:, 0].copy())
+
+    if list_size == 1:
+        return u.transpose(1, 2, 0), None, soft[d0:], trace
+    # frozen-bit penalties after the last duplication can reorder paths
+    pm = pm[batch, slot]
+    order = np.argsort(pm, axis=1, kind="stable")
+    u = np.zeros((bsz, npath, n), dtype=np.uint8)
+    rank = order
+    for e, src, bits in reversed(trail):
+        u[:, :, e] = bits[batch, rank]
+        rank = src[batch, rank]
+    return u, pm[batch, order], soft[d0:], trace
+
+
 @dataclass
 class ScBatchResult:
     u_hat: np.ndarray          # (B, N) input-word estimates
-    x_hat: np.ndarray          # (B, N) re-encoded codewords
     decision_llrs: np.ndarray  # (B, N)
     info_positions: np.ndarray
+    sequence: CouplingSequence
     op_outputs: Optional[list] = None
 
     @property
     def info_bits(self):
         return self.u_hat[:, self.info_positions - 1]
 
+    @cached_property
+    def x_hat(self):
+        """(B, N) re-encoded codewords: one encode of ``u_hat``."""
+        return _apply_sequence(self.u_hat.copy(), self.sequence)
+
 
 def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None,
                     capture=False) -> ScBatchResult:
-    """Run SC over a (B, N) LLR batch.
+    """Run SC over a (B, N) LLR batch: the executor with a list of one.
 
     ``forced_u`` pins every decision to the given bits instead of thresholding
     (genie mode); decision LLRs are still recorded.  ``capture`` keeps each
     op's numeric output for tracing.
     """
-    f_rule = _F_RULES[f_mode]
-    sched = schedule_for(spec)
-    llrs = _decoder_llrs(spec, llrs)
-    bsz, n = llrs.shape
-    n_elem = len(sched.seq)
-    la = np.zeros((bsz, n_elem))
-    lb = np.zeros((bsz, n_elem))
-    ua = np.zeros((bsz, n_elem), dtype=np.uint8)
-    ub = np.zeros((bsz, n_elem), dtype=np.uint8)
-    dec = np.zeros((bsz, n))
-    u_hat = np.zeros((bsz, n), dtype=np.uint8)
-    x_hat = np.zeros((bsz, n), dtype=np.uint8)
-    if forced_u is not None:
-        forced_u = np.atleast_2d(np.asarray(forced_u, dtype=np.uint8))
-    frozen = sched.frozen_mask
-    pairs = sched.seq.pairs
-    trace = [] if capture else None
-
-    llr_sinks = {_TO_LA: la, _TO_LB: lb, _TO_DEC: dec}
-    hard_sinks = {_TO_UA: ua, _TO_UB: ub, _TO_X: x_hat}
-
-    for j, (route, idx) in enumerate(sched.channel_sinks):
-        llr_sinks[route][:, idx] = llrs[:, j]
-
-    for op in sched.ops:
-        e = op.elem
-        if op.kind == _F:
-            val = f_rule(la[:, e], lb[:, e])
-            route, idx = op.dst
-            llr_sinks[route][:, idx] = val
-        elif op.kind == _G:
-            val = np.where(ua[:, e] == 1, -la[:, e], la[:, e]) + lb[:, e]
-            route, idx = op.dst
-            llr_sinks[route][:, idx] = val
-        elif op.kind == _DEC:
-            l_i = dec[:, e]
-            if forced_u is not None:
-                bits = forced_u[:, e]
-            elif frozen[e]:
-                bits = np.zeros(bsz, dtype=np.uint8)
-            else:
-                bits = (l_i < 0).astype(np.uint8)
-            u_hat[:, e] = bits
-            val = bits
-            route, idx = op.dst
-            hard_sinks[route][:, idx] = bits
-        else:
-            va = ua[:, e] ^ ub[:, e]
-            vb = ub[:, e]
-            route, idx = op.dst
-            hard_sinks[route][:, idx] = va
-            route_b, idx_b = op.dst_b
-            hard_sinks[route_b][:, idx_b] = vb
-            val = va
-        if capture:
-            trace.append(np.array(val, copy=True))
-
-    info_pos = np.asarray(spec.info, dtype=np.int64)
-    return ScBatchResult(u_hat, x_hat, dec, info_pos, trace)
+    u, _, dec, trace = _execute(schedule_for(spec), _decoder_llrs(spec, llrs),
+                                f_mode, forced_u=forced_u, capture=capture)
+    # a copy, so that the result does not hold the whole soft file
+    return ScBatchResult(u[:, 0], dec[:, :, 0].copy().T,
+                         np.asarray(spec.info, dtype=np.int64), spec.sequence, trace)
 
 
 def sc_decode(spec: CodeSpec, llrs, f_mode="exact"):
@@ -387,98 +435,15 @@ def scl_decode_batch(spec: CodeSpec, llrs, list_size, f_mode="exact") -> SclBatc
     """
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    f_rule = _F_RULES[f_mode]
     sched = schedule_for(spec)
-    llrs = _decoder_llrs(spec, llrs)
-    bsz, n = llrs.shape
-    n_elem = len(sched.seq)
-    frozen = sched.frozen_mask
-
-    # register-major state: soft rows la | lb | dec, hard rows ua | ub
-    soft = np.empty((2 * n_elem + n, bsz, list_size))
-    hard = np.empty((2 * n_elem, bsz, list_size), dtype=np.uint8)
-
-    def registers(width):
-        s, h = soft[:, :, :width], hard[:, :, :width]
-        regs = (s[:n_elem], s[n_elem:2 * n_elem], s[2 * n_elem:], h[:n_elem], h[n_elem:])
-        return regs + (dict(zip((_TO_LA, _TO_LB, _TO_DEC, _TO_UA, _TO_UB), regs)),)
-
-    la, lb, dec, ua, ub, to = registers(list_size)
-    for j, (route, idx) in enumerate(sched.channel_sinks):
-        to[route][idx] = llrs[:, j, None]
-    npath = 1
-    la, lb, dec, ua, ub, to = registers(npath)
-    batch = np.arange(bsz)[:, None]
-    slot = np.zeros((bsz, 1), dtype=np.int64)  # path slot of each ranked path
-    pm = np.zeros((bsz, 1))                    # path metrics in slot order
-    trail = []   # (bit index, source rank, bit) per information decision
-
-    for op in sched.ops:
-        e = op.elem
-        route, idx = op.dst
-        if op.kind == _F:
-            to[route][idx] = f_rule(la[e], lb[e])
-        elif op.kind == _G:
-            to[route][idx] = np.where(ua[e] == 1, -la[e], la[e]) + lb[e]
-        elif op.kind == _XOR:
-            if route != _TO_X:
-                to[route][idx] = ua[e] ^ ub[e]
-            route_b, idx_b = op.dst_b
-            if route_b != _TO_X:
-                to[route_b][idx_b] = ub[e]
-        elif frozen[e]:
-            l_i = dec[e]
-            pm = pm + np.where(l_i < 0, -l_i, 0.0)
-            if route != _TO_X:
-                to[route][idx] = 0
-        else:
-            # duplicate in rank order: candidate p decides 0, npath+p decides 1
-            l_i = dec[e]
-            pen0 = np.where(l_i < 0, -l_i, 0.0)
-            pen1 = np.where(l_i > 0, l_i, 0.0)
-            cand_pm = np.concatenate([pm + pen0, pm + pen1], axis=1)[
-                batch, np.concatenate([slot, slot + npath], axis=1)]
-            keep = min(2 * npath, list_size)
-            order = np.argsort(cand_pm, axis=1, kind="stable")[:, :keep]
-            src = order % npath
-            bits = (order >= npath).astype(np.uint8)
-            # a source slot keeps its first survivor in place; each further
-            # survivor is copied into a slot freed by a dropped path or opened
-            phys = slot[batch, src]
-            by_slot = np.argsort(phys, axis=1, kind="stable")
-            old = phys[batch, by_slot]
-            dup = np.zeros(old.shape, dtype=bool)
-            dup[:, 1:] = old[:, 1:] == old[:, :-1]
-            taken = np.zeros(old.shape, dtype=bool)
-            taken[batch, old] = True
-            free = np.argsort(taken, axis=1, kind="stable")
-            new = old.copy()
-            new[dup] = free[batch, np.cumsum(dup, axis=1) - 1][dup]
-            base = np.nonzero(dup)[0] * list_size
-            for regs, rows in zip((soft, hard), op.live):
-                flat = regs.reshape(len(regs), -1)
-                flat[rows[:, None], base + new[dup]] = flat[rows[:, None], base + old[dup]]
-            slot = np.empty_like(new)
-            slot[batch, by_slot] = new
-            pm = np.empty((bsz, keep))
-            pm[batch, slot] = cand_pm[batch, order]
-            trail.append((e, src, bits))
-            if keep != npath:
-                npath = keep
-                la, lb, dec, ua, ub, to = registers(npath)
-            if route != _TO_X:
-                to[route][idx][batch, slot] = bits
-
-    # frozen-bit penalties after the last duplication can reorder paths
-    pm = pm[batch, slot]
-    order = np.argsort(pm, axis=1, kind="stable")
-    pm = pm[batch, order]
+    u, pm, dec, _ = _execute(sched, _decoder_llrs(spec, llrs), f_mode, list_size)
+    if pm is None:
+        # one path: only frozen decisions can oppose the LLR sign
+        l_f = dec[sched.frozen_mask, :, 0]
+        pm = np.where(l_f < 0, -l_f, 0.0).sum(axis=0)[:, None]
     info_pos = np.asarray(spec.info, dtype=np.int64) - 1
-    info_bits = np.empty((bsz, npath, info_pos.size), dtype=np.uint8)
-    rank = order
-    for e, src, bits in reversed(trail):
-        info_bits[:, :, np.searchsorted(info_pos, e)] = bits[batch, rank]
-        rank = src[batch, rank]
+    info_bits = u[:, :, info_pos]
+    bsz, npath = pm.shape
     if spec.crc is None:
         ok = np.ones((bsz, npath), dtype=bool)
     else:

@@ -159,7 +159,7 @@ class SearchResult:
 
 def snr_search(spec: CodeSpec, target, bracket, channel_kind="biawgn", seed=0,
                list_size=1, f_mode="exact", tol=0.02, max_trials=1_000_000,
-               min_errors=100, workers=1) -> SearchResult:
+               min_errors=100, workers=1, chunk=CHUNK_TRIALS) -> SearchResult:
     """Bisect the channel parameter to reach the target block error rate.
 
     For the BiAWGN the parameter is Es/N0 in dB and BLER falls as it rises;
@@ -181,7 +181,7 @@ def snr_search(spec: CodeSpec, target, bracket, channel_kind="biawgn", seed=0,
             chan = ChannelModel(channel_kind, p)
         cfg = SimConfig(spec, chan, seed=seed,
                         max_trials=max_trials, min_errors=min_errors,
-                        list_size=list_size, f_mode=f_mode)
+                        list_size=list_size, f_mode=f_mode, chunk=chunk)
         res = simulate_bler(cfg, workers=workers)
         evals.append((p, res))
         return res.bler
@@ -216,7 +216,8 @@ def sweep_lengths(rate, lengths, schemes, target, bracket, family: CodeFamily = 
 
     Schemes: "qup" and "brs" are rate-matched regular baselines designed for
     `design_channel` (default BiAWGN at 1 dB); "stc" is the partially stitched
-    construction over `family`.
+    construction over `family`.  `search_kw` (tol, max_trials, min_errors,
+    list_size, f_mode, workers, chunk) goes to every `snr_search`.
     """
     if design_channel is None:
         design_channel = channel_from_snr_db(1.0)

@@ -209,6 +209,28 @@ def bec_exact_bler(pairs, n, info, order, eps):
     return total
 
 
+def decision_llr_walk(pairs, n, llrs, order, decisions):
+    """log P(y, u_prev, u_i = 0) / P(y, u_prev, u_i = 1) at each decision.
+
+    llrs are channel LLRs log p(y_j | 0) / p(y_j | 1) of a memoryless channel,
+    so P(y | x) is proportional to exp(sum_j (1 - 2 x_j) llrs_j / 2).  As in
+    bec_posterior_walk, decisions are walked in the decoder's ``order``, the
+    bits decided before i are fixed to ``decisions`` and every later bit is
+    uniform.  Returns the decision LLRs indexed by position (0-based).
+    """
+    u, x = _input_table(pairs, n)
+    loglik = ((1.0 - 2.0 * x) * (np.asarray(llrs, dtype=float) / 2.0)).sum(axis=1)
+    mask = np.ones(len(u), dtype=bool)
+    out = np.zeros(n)
+    assert sorted(order) == list(range(1, n + 1))
+    for i in order:
+        col = u[:, i - 1]
+        out[i - 1] = (np.logaddexp.reduce(loglik[mask & (col == 0)])
+                      - np.logaddexp.reduce(loglik[mask & (col == 1)]))
+        mask = mask & (col == decisions[i - 1])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # maximum-likelihood path search over the decode metric
 

@@ -8,6 +8,8 @@ import pytest
 import vectors as V
 from stitchpolar.cli import main
 from stitchpolar.codes import load_spec
+from stitchpolar.reliability import channel_from_snr_db
+from stitchpolar.simulate import SimConfig, simulate_bler, snr_search
 from stitchpolar.stitching import load_family
 
 
@@ -145,6 +147,33 @@ def test_simulate_cli(capsys, tmp_path):
     assert rep["trials"] == 5000
     assert rep["n"] == 5 and rep["k"] == 2
     assert 0.0 <= rep["ci_low"] <= rep["bler"] <= rep["ci_high"] <= 1.0
+
+
+def test_simulate_cli_list_chunk(capsys, tmp_path):
+    """--chunk reaches the simulation, so list decoding can run small chunks."""
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "12", "--k", "6",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    out = tmp_path / "sim.json"
+    code, _, _ = _run(capsys, "simulate", "--code", str(spec_path),
+                      "--channel", "awgn:0.0", "--trials", "200", "--seed", "3",
+                      "--list", "8", "--chunk", "64", "--out", str(out))
+    assert code == 0
+    rep = json.loads(out.read_text())
+    want = simulate_bler(SimConfig(load_spec(spec_path), channel_from_snr_db(0.0),
+                                   seed=3, trials=200, list_size=8, chunk=64))
+    assert (rep["trials"], rep["errors"], rep["bit_errors"]) == (
+        200, want.errors, want.bit_errors)
+    code, text, _ = _run(capsys, "snr-search", "--code", str(spec_path),
+                         "--target", "0.2", "--bracket", "0.1:0.8",
+                         "--channel-kind", "bec", "--tol", "0.2", "--list", "8",
+                         "--chunk", "64", "--max-trials", "640",
+                         "--min-errors", "30")
+    assert code == 0
+    want = snr_search(load_spec(spec_path), 0.2, (0.1, 0.8), channel_kind="bec",
+                      tol=0.2, list_size=8, chunk=64, max_trials=640, min_errors=30)
+    assert [(e["trials"], e["errors"]) for e in json.loads(text)["evals"]] == [
+        (r.trials, r.errors) for _, r in want.evals]
 
 
 def test_snr_search_cli(capsys, tmp_path):

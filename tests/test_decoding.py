@@ -295,3 +295,26 @@ def test_decoder_checks_llr_length():
         sc_decode(spec, np.zeros(4))
     with pytest.raises(ValueError):
         scl_decode_batch(spec, np.zeros((1, 4)), list_size=2)
+
+
+def test_decision_llrs_match_posterior_oracle(rng):
+    """Exact-f decision LLRs are the successive posteriors over the AWGN."""
+    checked = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 9))
+        pairs = O.random_valid_pairs(rng, n)
+        k = int(rng.integers(1, n + 1))
+        info = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k,
+                                       replace=False).tolist()))
+        spec = CodeSpec(CouplingSequence(n, pairs), info)
+        x = encode(spec, rng.integers(0, 2, size=k).astype(np.uint8))
+        llrs = 2.0 * (1.0 - 2.0 * x + rng.normal(size=n) * 0.9) / 0.81
+        ops = compile_schedule(spec.sequence, spec.frozen).as_tuples()
+        order = [op[0] for op in ops if len(op) == 2]
+        forced = rng.integers(0, 2, size=n).astype(np.uint8)
+        for genie in (None, forced[None]):
+            res = sc_decode_batch(spec, llrs[None], forced_u=genie)
+            want = O.decision_llr_walk(pairs, n, llrs, order, res.u_hat[0])
+            assert res.decision_llrs[0] == pytest.approx(want, rel=1e-9), (pairs, info)
+            checked += n
+    assert checked > 100

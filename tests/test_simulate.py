@@ -8,7 +8,8 @@ import oracles as O
 import vectors as V
 from stitchpolar.codes import CodeSpec, CrcConfig, encode
 from stitchpolar.decoding import LLR_SAT, compile_schedule, sc_decode_batch
-from stitchpolar.reliability import ChannelModel, channel_from_snr_db
+from stitchpolar.reliability import (ChannelModel, build_baseline,
+                                     channel_from_snr_db)
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
 from stitchpolar.simulate import (SimConfig, channel_transmit, clopper_pearson,
                                   simulate_bler, snr_search, sweep_lengths,
@@ -145,6 +146,25 @@ def test_crc_scl_fixed_seed_counts(fam8):
     res = simulate_bler(SimConfig(spec, channel_from_snr_db(-1.0), seed=3,
                                   trials=2048, chunk=256, list_size=8))
     assert (res.errors, res.bit_errors) == (39, 227)
+
+
+@pytest.mark.parametrize("f_mode", ["exact", "minsum"])
+def test_sc_fixed_seed_counts(fam8, f_mode):
+    """Seeded SC counts on stitched, QUP and BRS codes, pinned to the values
+    of the (batch, register) SC interpreter that preceded the shared
+    executor, so the executor stays tied to an independent decoder."""
+    design = channel_from_snr_db(1.0)
+    pins = {"stc": {"exact": (111, 536), "minsum": (110, 530)},
+            "qup": {"exact": (175, 895), "minsum": (171, 876)},
+            "brs": {"exact": (143, 864), "minsum": (143, 844)}}
+    codes = {"stc": partially_stitched(40, 20, 3, fam8)[0],
+             "qup": build_baseline("qup", 40, 20, design),
+             "brs": build_baseline("brs", 40, 20, design)}
+    for name, spec in codes.items():
+        res = simulate_bler(SimConfig(spec, channel_from_snr_db(0.0), seed=6,
+                                      trials=3000, chunk=1024, f_mode=f_mode))
+        assert res.trials == 3000
+        assert (res.errors, res.bit_errors) == pins[name][f_mode], name
 
 
 def test_snr_search_bec():
