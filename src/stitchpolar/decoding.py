@@ -9,27 +9,36 @@ travel back toward the channel.  The order is computed once per code and
 reused.
 
 One executor runs every schedule: SC is SCL with a list of one.  Its state is
-register-major, a soft file with rows la | lb | dec and a hard file with rows
-ua | ub, each (rows, B, L) for B words and list size L, so a register is one
-contiguous (B, L) block and an op is one vectorized kernel over it.  Every
-register is written once, before it is read, so nothing is zeroed.
+register-major, a soft file and a hard file, each (rows, B, L) for B words
+and list size L, so a register is one contiguous (B, L) block and an op is
+one vectorized kernel over it.  Registers do not own rows: the compiler
+gives each a row by linear scan over its lifetime (Poletto & Sarkar, ACM
+TOPLAS 1999), from its write to its last read, and the files have only as
+many rows as are ever live at once.  The soft file holds the N decision
+buffers in rows 0..N-1, which are pinned (they are the decision LLRs of the
+result), then R_s rows for la and lb; the hard file holds R_h rows for ua
+and ub.  Every register is written before it is read, so nothing is zeroed.
+R_s / R_h are 620 / 320 for the (320,160) stitched code (P = 1044 pairs),
+1022 / 512 for the 512-mother QUP and BRS codes of that size (P = 2304), and
+2N - 2 / N for a regular code of length N = 2^m: the 2N - 1 LLRs of
+semi-parallel SC with the decision buffers apart.
 
 With L = 1 a decision is a threshold written in place into an (N, B) bit
 file, and nothing else is kept; the re-encoded codeword is one encode of the
-decided bits, made when asked for.  Per chunk SC holds about B * (18 P + 9 N)
-bytes for P pairs and N positions: 89 MB for 4096 words of the (320,160)
-stitched code (P = 1044) and 189 MB for a 512-mother QUP code (P = 2304).
+decided bits, made when asked for.  Per chunk SC holds about
+B * (8 R_s + R_h + 9 N) bytes: 33 MB for 4096 words of the stitched code,
+54 MB for the QUP code and 436 MB for a regular code at N = 4096.
 
 With L > 1 ranked paths map to path slots through a (B, npath) table, and
 metrics are kept in slot order.  At an information decision a source slot
 keeps its first surviving extension in place and each further one is copied
-into a free slot, moving only the registers live at that decision (found once
+into a free slot, moving only the rows live at that decision (found once
 per schedule, when a list decoder first asks).  Each information decision
 records (bit index, source rank, bit), and one backward traceback from the
 final ranking rebuilds the decided bits (frozen bits are 0 on all paths).
-Per chunk SCL holds about B * L * (18 P + 8 N + 9 K) bytes for K information
-bits: 0.18 MB per word at (320,160) with P = 1044 and L = 8, so the SC-sized
-default chunk of 4096 needs 750 MB.
+Per chunk SCL holds about B * L * (8 R_s + R_h + 9 N + 9 K) bytes for K
+information bits: 77 kB per word for the stitched code with K = 160 and
+L = 8, so the SC-sized default chunk of 4096 needs 315 MB.
 """
 
 from __future__ import annotations
@@ -37,8 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,25 +57,20 @@ LLR_SAT = float(2 ** 20)
 
 _F, _G, _XOR, _DEC = 0, 1, 2, 3
 
-
-class _Op(NamedTuple):
-    """One schedule step.
-
-    Rows number the register files: soft la e -> e, lb e -> P + e,
-    dec j -> 2P + j; hard ua e -> e, ub e -> P + e.  A hard value that reaches
-    the channel end of its chain is not stored, its row is -1.
-    """
-
-    kind: int
-    elem: int   # pair element for f/g/xor, bit index (0-based) for dec
-    dst: int    # soft row written by f/g, hard row by dec and xor's a side
-    dst_b: int  # hard row written by xor's b side
+# A schedule op is a tuple (kind, elem, la, lb, ua, ub, dst, dst_b) of row
+# numbers in the register files.  elem is the pair element of an f/g/xor and
+# the 0-based bit index of a decision.  f and g read soft rows la and lb, g
+# and xor read hard row ua, xor reads ub, and a decision reads its buffer,
+# soft row la = elem.  f and g write soft row dst, a decision and xor's a
+# side hard row dst, and xor's b side lands in hard row dst_b.  Unused fields
+# are -1, and so is a hard output that reaches the channel end of its chain,
+# which is not stored.
 
 
 class DecodeSchedule:
-    """Compiled op order for one coupling sequence and frozen set."""
+    """Compiled op order and register allocation for one sequence and frozen set."""
 
-    def __init__(self, seq, frozen_mask, ops, channel_sinks):
+    def __init__(self, seq, frozen_mask, ops, channel_sinks, n_soft, n_hard):
         self.seq = seq
         self.n_code = seq.n_code
         self.frozen_mask = frozen_mask
@@ -75,6 +78,8 @@ class DecodeSchedule:
         # channel_sinks[j]: the soft row where index j's channel LLR enters,
         # its last element or its decision buffer when untouched
         self.channel_sinks = channel_sinks
+        self.n_soft = n_soft  # soft file rows: N decision buffers, then la | lb
+        self.n_hard = n_hard
 
     def __len__(self):
         return len(self.ops)
@@ -84,54 +89,70 @@ class DecodeSchedule:
         names = {_F: "f", _G: "g", _XOR: "xor"}
         out = []
         pairs = self.seq.pairs
-        for op in self.ops:
-            if op.kind == _DEC:
-                out.append((op.elem + 1, "d"))
+        for kind, e, *_ in self.ops:
+            if kind == _DEC:
+                out.append((e + 1, "d"))
             else:
-                a, b = pairs[op.elem]
-                out.append((int(a), int(b), names[op.kind]))
+                a, b = pairs[e]
+                out.append((int(a), int(b), names[kind]))
         return out
 
     @cached_property
     def live(self):
         """Rows a path copy must move at each information decision.
 
-        Maps the bit index to (soft rows, hard rows).  A register is live at
-        time t when an op wrote it before t and it is read after t: La/Lb die
-        at their g, Ua/Ub at their xor, a decision buffer at its decision.
-        Channel-seeded registers are never rewritten and hold the same value
-        on every path, so they are never moved.  Only list decoding reads
-        this; threads that race on the first read compute the same value.
+        Maps the bit index to (soft rows, hard rows): the rows held at that
+        decision by a register an op wrote and a later op reads.  One sweep
+        replays the allocation: la and lb die at their g, ua and ub at their
+        xor, a decision buffer at its decision.  Channel-seeded rows hold the
+        same value on every path until their g frees them, so they are never
+        marked.  Only list decoding reads this; threads that race on the
+        first read compute the same value.
         """
-        kind, elem, dst, dst_b = np.fromiter(chain.from_iterable(self.ops), np.int64,
-                                             4 * len(self.ops)).reshape(-1, 4).T
-        t = np.arange(kind.size)
-        p = len(self.seq)
-        soft_w = np.full(2 * p + self.n_code, -1)   # op write time, -1 for none
-        hard_w = np.full(2 * p, -1)
-        soft_end = np.full(2 * p + self.n_code, -1)  # time of the last read
-        hard_end = np.full(2 * p, -1)
-        fg = kind <= _G
-        soft_w[dst[fg]] = t[fg]
-        for rows, writes in ((dst, kind >= _XOR), (dst_b, kind == _XOR)):
-            writes &= rows >= 0
-            hard_w[rows[writes]] = t[writes]
-        g, x, d = kind == _G, kind == _XOR, kind == _DEC
-        soft_end[elem[g]] = soft_end[p + elem[g]] = t[g]
-        hard_end[elem[x]] = hard_end[p + elem[x]] = t[x]
-        soft_end[2 * p + elem[d]] = t[d]
-        return {int(e): tuple(np.nonzero((w >= 0) & (w < td) & (end > td))[0]
-                              for w, end in ((soft_w, soft_end), (hard_w, hard_end)))
-                for td, e in zip(t[d], elem[d]) if not self.frozen_mask[e]}
+        soft = bytearray(self.n_soft)
+        hard = bytearray(self.n_hard)
+        soft_view = np.frombuffer(soft, dtype=bool)
+        hard_view = np.frombuffer(hard, dtype=bool)
+        frozen = self.frozen_mask.tolist()
+        out = {}
+        for kind, e, la, lb, ua, ub, dst, dst_b in self.ops:
+            if kind == _F:
+                soft[dst] = 1
+            elif kind == _G:
+                soft[la] = soft[lb] = 0
+                soft[dst] = 1
+            elif kind == _XOR:
+                hard[ua] = hard[ub] = 0
+                if dst >= 0:
+                    hard[dst] = 1
+                if dst_b >= 0:
+                    hard[dst_b] = 1
+            else:
+                soft[la] = 0
+                if not frozen[e]:
+                    out[e] = (soft_view.nonzero()[0], hard_view.nonzero()[0])
+                if dst >= 0:
+                    hard[dst] = 1
+        return out
 
 
 def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
-    """Event-driven decode order for a valid sequence.
+    """Event-driven decode order and register rows for a valid sequence.
 
     Channel LLRs are delivered in index order; each message fires at most one
     op, and ready ops run first come first served.  The result interleaves
     the per-index chains exactly as the serial decoder must: 3n + N ops, each
     f/g/xor once per element and one decision per index.
+
+    Rows are allocated by linear scan as the ops are emitted.  Registers die
+    where the graph says: la and lb at their g, ua and ub at their xor, so a
+    free list suffices and the last row freed is the first reused.  A
+    channel-seeded la or lb gets a row before the first op and keeps it to
+    its g; the N decision buffers are pinned to soft rows 0..N-1.  f's output
+    takes a free row, or a new one.  g's output overwrites lb's row, unless
+    it goes to a decision buffer, and xor works in place (the a side's sum
+    over ua, the b side's value left in ub).  Both are elementwise, so no op
+    reads a value it has overwritten, and only f and the decisions take rows.
     """
     res = validate(seq)
     if not res.valid:
@@ -139,83 +160,127 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
     n_code = seq.n_code
     pairs = seq.pairs.tolist()
     n_elem = len(pairs)
-    d0 = 2 * n_elem  # soft row of the first decision buffer
+    d0 = 2 * n_elem  # register number of the first decision buffer
 
     frozen_mask = np.zeros(n_code, dtype=bool)
     for i in frozen:
         frozen_mask[i - 1] = True
 
-    # rows[j]: register rows of index j's chain in listed order, on j's side
-    rows = [[] for _ in range(n_code)]
-    pos_a = [0] * n_elem
-    pos_b = [0] * n_elem
+    # Registers are numbered la e -> e, lb e -> P + e, dec j -> 2P + j (soft)
+    # and ua e -> e, ub e -> P + e (hard).  chains[j]: the registers of index
+    # j's chain in listed order.  up[r] and down[r]: the next register toward
+    # the decision end (j's decision buffer at the head) and toward the
+    # channel end (-1 at the tail).
+    chains = [[] for _ in range(n_code)]
     for e, (a, b) in enumerate(pairs):
-        pos_a[e] = len(rows[a - 1])
-        rows[a - 1].append(e)
-        pos_b[e] = len(rows[b - 1])
-        rows[b - 1].append(n_elem + e)
+        chains[a - 1].append(e)
+        chains[b - 1].append(n_elem + e)
+    up = [0] * d0
+    down = [0] * d0
+    for j, ch in enumerate(chains):
+        for r, r_up, r_down in zip(ch, [d0 + j] + ch, ch[1:] + [-1]):
+            up[r] = r_up
+            down[r] = r_down
 
-    def up_row(j, p):
-        # toward the decision end of index j's chain
-        return d0 + j if p == 0 else rows[j][p - 1]
+    soft_rows = [-1] * d0  # the row each la | lb (ua | ub) register was placed in
+    hard_rows = [-1] * d0
+    free_soft = []
+    free_hard = []
+    n_soft = n_code
+    n_hard = 0
 
-    def down_row(j, p):
-        # toward the channel end of index j's chain
-        return rows[j][p + 1] if p + 1 < len(rows[j]) else -1
+    sinks = [ch[-1] if ch else d0 + j for j, ch in enumerate(chains)]
+    channel_sinks = []
+    for reg in sinks:
+        if reg >= d0:
+            channel_sinks.append(reg - d0)
+        else:
+            soft_rows[reg] = n_soft
+            channel_sinks.append(n_soft)
+            n_soft += 1
 
-    sinks = [ch[-1] if ch else d0 + j for j, ch in enumerate(rows)]
-
-    have_soft = np.zeros(d0, dtype=bool)  # la | lb delivered
-    have_hard = np.zeros(d0, dtype=bool)  # ua | ub delivered
+    have_soft = bytearray(d0)  # la | lb delivered
+    have_hard = bytearray(d0)  # ua | ub delivered
     queue = deque()
     ops = []
 
-    def deliver_llr(row):
-        if row >= d0:
-            queue.append((_DEC, row - d0))
+    def deliver_llr(reg):
+        if reg >= d0:
+            queue.append((_DEC, reg - d0))
             return
-        have_soft[row] = True
-        e = row % n_elem
+        have_soft[reg] = 1
+        e = reg % n_elem
         if have_soft[e] and have_soft[n_elem + e]:
             queue.append((_F, e))
 
-    def deliver_u(row):
-        if row < 0:
+    def deliver_u(reg):
+        if reg < 0:
             return
-        have_hard[row] = True
-        e = row % n_elem
-        if row < n_elem:
+        have_hard[reg] = 1
+        e = reg % n_elem
+        if reg < n_elem:
             queue.append((_G, e))
         elif have_hard[e]:
             queue.append((_XOR, e))
 
-    for row in sinks:
-        deliver_llr(row)
+    for reg in sinks:
+        deliver_llr(reg)
 
     while queue:
         kind, e = queue.popleft()
         if kind == _F:
-            dst = up_row(pairs[e][0] - 1, pos_a[e])
-            ops.append(_Op(_F, e, dst, -1))
-            deliver_llr(dst)
+            reg = up[e]
+            if reg >= d0:
+                dst = reg - d0
+            elif free_soft:
+                dst = soft_rows[reg] = free_soft.pop()
+            else:
+                dst = soft_rows[reg] = n_soft
+                n_soft += 1
+            ops.append((_F, e, soft_rows[e], soft_rows[n_elem + e], -1, -1, dst, -1))
+            deliver_llr(reg)
         elif kind == _G:
-            dst = up_row(pairs[e][1] - 1, pos_b[e])
-            ops.append(_Op(_G, e, dst, -1))
-            deliver_llr(dst)
+            reg = up[n_elem + e]
+            la, lb = soft_rows[e], soft_rows[n_elem + e]
+            free_soft.append(la)
+            if reg >= d0:
+                dst = reg - d0
+                free_soft.append(lb)
+            else:
+                dst = soft_rows[reg] = lb
+            ops.append((_G, e, la, lb, hard_rows[e], -1, dst, -1))
+            deliver_llr(reg)
         elif kind == _DEC:
-            dst = rows[e][0] if rows[e] else -1
-            ops.append(_Op(_DEC, e, dst, -1))
-            deliver_u(dst)
+            reg = chains[e][0] if chains[e] else -1
+            if reg < 0:
+                dst = -1
+            elif free_hard:
+                dst = hard_rows[reg] = free_hard.pop()
+            else:
+                dst = hard_rows[reg] = n_hard
+                n_hard += 1
+            ops.append((_DEC, e, e, -1, -1, -1, dst, -1))
+            deliver_u(reg)
         else:
-            dst = down_row(pairs[e][0] - 1, pos_a[e])
-            dst_b = down_row(pairs[e][1] - 1, pos_b[e])
-            ops.append(_Op(_XOR, e, dst, dst_b))
-            deliver_u(dst)
-            deliver_u(dst_b)
+            reg, reg_b = down[e], down[n_elem + e]
+            ua, ub = hard_rows[e], hard_rows[n_elem + e]
+            dst = dst_b = -1
+            if reg >= 0:
+                dst = hard_rows[reg] = ua
+            else:
+                free_hard.append(ua)
+            if reg_b >= 0:
+                dst_b = hard_rows[reg_b] = ub
+            else:
+                free_hard.append(ub)
+            ops.append((_XOR, e, -1, -1, ua, ub, dst, dst_b))
+            deliver_u(reg)
+            deliver_u(reg_b)
 
     if len(ops) != 3 * n_elem + n_code:
         raise ValueError("schedule stalled; sequence has a dependency cycle")
-    return DecodeSchedule(seq, frozen_mask, ops, np.asarray(sinks, dtype=np.int64))
+    return DecodeSchedule(seq, frozen_mask, ops, np.asarray(channel_sinks, dtype=np.int64),
+                          n_soft, n_hard)
 
 
 @lru_cache(maxsize=128)
@@ -268,11 +333,9 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
     """
     f_rule = _F_RULES[f_mode]
     bsz, n = llrs.shape
-    p = len(sched.seq)
-    d0 = 2 * p
     frozen = sched.frozen_mask
-    soft = np.empty((d0 + n, bsz, list_size))
-    hard = np.empty((d0, bsz, list_size), dtype=np.uint8)
+    soft = np.empty((sched.n_soft, bsz, list_size))
+    hard = np.empty((sched.n_hard, bsz, list_size), dtype=np.uint8)
     soft[sched.channel_sinks] = llrs.T[:, :, None]
     genie = forced_u is not None
     if list_size == 1:
@@ -289,20 +352,17 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
     s, h = soft[..., :npath], hard[..., :npath]
     trace = [] if capture else None
 
-    for kind, e, dst, dst_b in sched.ops:
+    for kind, e, la, lb, ua, ub, dst, dst_b in sched.ops:
         if kind == _F:
-            val = s[dst] = f_rule(s[e], s[p + e])
+            val = s[dst] = f_rule(s[la], s[lb])
         elif kind == _G:
-            la = s[e]
-            val = s[dst] = np.where(h[e] == 1, -la, la) + s[p + e]
+            l_a = s[la]
+            val = np.add(np.where(h[ua] == 1, -l_a, l_a), s[lb], out=s[dst])
         elif kind == _XOR:
-            val = h[e] ^ h[p + e]
-            if dst >= 0:
-                h[dst] = val
-            if dst_b >= 0:
-                h[dst_b] = h[p + e]
+            # in place: the b side's value stays in its row (dst_b is ub)
+            val = np.bitwise_xor(h[ua], h[ub], out=h[dst] if dst >= 0 else None)
         else:
-            l_i = s[d0 + e]
+            l_i = s[la]
             if list_size == 1:
                 val = u[e]
                 if not (genie or frozen[e]):
@@ -351,7 +411,7 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
             trace.append(val[:, 0].copy())
 
     if list_size == 1:
-        return u.transpose(1, 2, 0), None, soft[d0:], trace
+        return u.transpose(1, 2, 0), None, soft[:n], trace
     # frozen-bit penalties after the last duplication can reorder paths
     pm = pm[batch, slot]
     order = np.argsort(pm, axis=1, kind="stable")
@@ -360,7 +420,7 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
     for e, src, bits in reversed(trail):
         u[:, :, e] = bits[batch, rank]
         rank = src[batch, rank]
-    return u, pm[batch, order], soft[d0:], trace
+    return u, pm[batch, order], soft[:n], trace
 
 
 @dataclass

@@ -35,8 +35,13 @@ def channel_transmit(codewords, channel: ChannelModel, rng):
         erased = rng.random(x.shape) < channel.erasure_prob
         return np.where(erased, 0.0, llr)
     sigma = channel.sigma
-    y = (1.0 - 2.0 * x.astype(float)) + sigma * rng.standard_normal(x.shape)
-    return 2.0 * y / sigma ** 2
+    # in place on the noise draw: the same rounding as 2 ((1 - 2x) + sigma n) / sigma^2
+    y = rng.standard_normal(x.shape)
+    y *= sigma
+    y += 1.0 - 2.0 * x
+    y *= 2.0
+    y /= sigma ** 2
+    return y
 
 
 @dataclass(frozen=True)
@@ -166,11 +171,15 @@ def snr_search(spec: CodeSpec, target, bracket, channel_kind="biawgn", seed=0,
     for the BEC it is the erasure probability and BLER rises.  The target must
     be bracketed by the endpoints or a ValueError reports both measurements.
     Every point is measured with the same seed, so the empirical curve is
-    monotone-coupled across the bracket.
+    monotone-coupled across the bracket.  Bisection stops once the bracket
+    is at most ``tol`` wide; ``tol`` must be finite and positive.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    # a bisection gap stalls above 0 in floating point, and NaN ends at once
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     target = float(target)
     evals = []
 

@@ -4,6 +4,16 @@ import pytest
 from stitchpolar.reliability import ChannelModel, channel_from_snr_db
 from stitchpolar.stitching import build_family, save_family
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database, so every run tests the same codes
+    settings.register_profile("stitchpolar", derandomize=True, database=None,
+                              max_examples=30, deadline=None)
+    settings.load_profile("stitchpolar")
+
 
 @pytest.fixture(scope="session")
 def bec():

@@ -253,3 +253,54 @@ def all_messages(info, n):
     for j, pos in enumerate(info):
         out[:, pos - 1] = (np.arange(1 << k) >> j) & 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# register liveness of a decode schedule, per register, by brute force
+
+def live_registers_ref(pairs, n, steps, info):
+    """The registers a list decoder must copy at each information decision.
+
+    Every pair element e owns soft registers la e -> e and lb e -> P + e and
+    hard registers ua e -> e and ub e -> P + e; index j has a decision buffer
+    2P + j.  The chain of index j is the registers on j's side of the pairs
+    touching j, in listed order: channel LLRs enter at its tail, f and g
+    results move toward the head and on into the decision buffer, and hard
+    values move back toward the tail.  ``steps`` is the schedule as
+    ('f'|'g'|'xor', element) and ('d', bit index), 0-based.  A register is
+    live at a decision when an op wrote it earlier and an op reads it later;
+    channel-seeded registers are written by no op.  Returns
+    {bit index: (soft registers, hard registers)}, sorted, for info bits.
+    """
+    p = len(pairs)
+    chains = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(pairs):
+        chains[a - 1].append(e)
+        chains[b - 1].append(p + e)
+    up, down = {}, {}
+    for j, chain in enumerate(chains):
+        for k, r in enumerate(chain):
+            up[r] = chain[k - 1] if k > 0 else 2 * p + j
+            down[r] = chain[k + 1] if k + 1 < len(chain) else None
+    soft_w, soft_end, hard_w, hard_end = {}, {}, {}, {}
+    for t, (kind, e) in enumerate(steps):
+        if kind == "f":
+            soft_w[up[e]] = t
+        elif kind == "g":
+            soft_w[up[p + e]] = t
+            soft_end[e] = soft_end[p + e] = t
+        elif kind == "xor":
+            hard_end[e] = hard_end[p + e] = t
+            for r in (down[e], down[p + e]):
+                if r is not None:
+                    hard_w[r] = t
+        else:
+            soft_end[2 * p + e] = t
+            if chains[e]:
+                hard_w[chains[e][0]] = t
+    out = {}
+    for t, (kind, e) in enumerate(steps):
+        if kind == "d" and e + 1 in info:
+            out[e] = tuple(sorted(r for r, w in writes.items() if w < t < ends[r])
+                           for writes, ends in ((soft_w, soft_end), (hard_w, hard_end)))
+    return out

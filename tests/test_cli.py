@@ -191,6 +191,20 @@ def test_snr_search_cli(capsys, tmp_path):
     assert len(rep["evals"]) >= 3
 
 
+def test_snr_search_cli_rejects_zero_tol(capsys, tmp_path):
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    code, out, err = _run(capsys, "snr-search", "--code", str(spec_path),
+                          "--target", "0.2", "--bracket", "0.1:0.8",
+                          "--channel-kind", "bec", "--tol", "0")
+    assert code == 1
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "ValueError"
+    assert "tol" in rep["message"]
+
+
 def test_sweep_cli(capsys, tmp_path, fam8_path):
     out = tmp_path / "sweep.csv"
     code, text, _ = _run(capsys, "sweep", "--rate", "0.5", "--lengths", "8",

@@ -9,9 +9,10 @@ from stitchpolar.decoding import (LLR_SAT, compile_schedule, f_exact, f_minsum,
                                   rm_llrs, sc_decode, sc_decode_batch,
                                   sc_trace, scl_decode, scl_decode_batch,
                                   schedule_for)
-from stitchpolar.reliability import ChannelModel, build_baseline
+from stitchpolar.reliability import (ChannelModel, build_baseline,
+                                     channel_from_snr_db)
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
-from stitchpolar.stitching import partially_stitched
+from stitchpolar.stitching import build_family, partially_stitched
 
 
 def _hard_llrs(x, scale=LLR_SAT):
@@ -42,6 +43,81 @@ def test_schedule_op_accounting(rng):
         assert sorted(per_kind["d"]) == list(range(1, n + 1))
         for kind in ("f", "g", "xor"):
             assert sorted(per_kind[kind]) == sorted(map(tuple, pairs))
+
+
+@pytest.fixture(scope="module")
+def stc320():
+    """The partially stitched (320,160) code over a GA family of 32 at 1 dB."""
+    spec, _ = partially_stitched(320, 160, 5, build_family(32, channel_from_snr_db(1.0)))
+    return spec
+
+
+def _la_lb_rows(sched):
+    return sched.n_soft - sched.n_code
+
+
+def test_register_rows_pinned(stc320):
+    """Linear-scan row counts: la | lb rows after the N decision buffers, and
+    ua | ub rows, against 2P of each with a row per register."""
+    awgn = channel_from_snr_db(1.0)
+    cases = [(stc320, 1044, 620, 320)]
+    cases += [(build_baseline(kind, 320, 160, awgn), 2304, 1022, 512)
+              for kind in ("qup", "brs")]
+    for spec, pairs, soft, hard in cases:
+        sched = schedule_for(spec)
+        assert len(spec.sequence) == pairs
+        assert len(sched) == 3 * pairs + spec.n_code
+        assert (_la_lb_rows(sched), sched.n_hard) == (soft, hard)
+
+
+def test_register_rows_regular():
+    """A regular code of length N = 2^m needs the 2N - 1 LLRs of semi-parallel
+    SC (2N - 2 la | lb rows besides the decision buffers) and N hard rows."""
+    for m in range(1, 11):
+        n = 1 << m
+        sched = compile_schedule(make_regular_sequence(m), frozenset(range(1, n // 2 + 1)))
+        assert _la_lb_rows(sched) <= 2 * n - 2, m
+        assert sched.n_hard <= n, m
+        assert sched.channel_sinks.tolist() == sorted(set(sched.channel_sinks.tolist()))
+
+
+def _copy_lists_vs_oracle(spec):
+    sched = compile_schedule(spec.sequence, spec.frozen)
+    pairs = spec.sequence.pairs.tolist()
+    p = len(pairs)
+    names = [op[-1] for op in sched.as_tuples()]
+    steps = [(name, op[1]) for name, op in zip(names, sched.ops)]
+    want = O.live_registers_ref(pairs, spec.n_code, steps, set(spec.info))
+    # each register's row, read off the ops that read it: f reads la e and
+    # lb e, xor reads ua e and ub e; decision buffer j is soft row j
+    soft_row = {2 * p + j: j for j in range(spec.n_code)}
+    hard_row = {}
+    for name, (_, e, la, lb, ua, ub, _, _) in zip(names, sched.ops):
+        if name == "f":
+            soft_row[e], soft_row[p + e] = la, lb
+        elif name == "xor":
+            hard_row[e], hard_row[p + e] = ua, ub
+    assert want.keys() == sched.live.keys()
+    for e, (soft_regs, hard_regs) in want.items():
+        soft = [soft_row[r] for r in soft_regs]
+        hard = [hard_row[r] for r in hard_regs]
+        # registers live together hold distinct rows
+        assert len(set(soft)) == len(soft) and len(set(hard)) == len(hard)
+        got_soft, got_hard = sched.live[e]
+        assert got_soft.tolist() == sorted(soft) and got_hard.tolist() == sorted(hard)
+
+
+def test_copy_lists_match_liveness_oracle(rng, stc320):
+    """The allocator's rows at each information decision are the registers
+    live there, mapped through the allocation."""
+    for _ in range(25):
+        n = int(rng.integers(2, 30))
+        pairs = O.random_valid_pairs(rng, n)
+        k = int(rng.integers(1, n + 1))
+        info = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k,
+                                       replace=False).tolist()))
+        _copy_lists_vs_oracle(CodeSpec(CouplingSequence(n, pairs), info))
+    _copy_lists_vs_oracle(stc320)
 
 
 def test_f_rules(rng):

@@ -195,6 +195,16 @@ def test_snr_search_bracket_failure():
                    max_trials=5_000, min_errors=20)
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.1, float("nan"), float("inf")])
+def test_snr_search_rejects_bad_tol(tol):
+    # tol=0 used to bisect forever, since the gap stalls above 0, and NaN
+    # returned the whole bracket after two evaluations
+    spec = _ex5_spec()
+    with pytest.raises(ValueError, match="tol"):
+        snr_search(spec, 0.13, (0.2, 0.8), channel_kind="bec", tol=tol,
+                   max_trials=100, min_errors=1)
+
+
 def test_sweep_lengths_smoke(fam8):
     res = sweep_lengths(0.5, [8], ["qup", "stc"], 0.13, (0.1, 0.9),
                         family=fam8, s=2, channel_kind="bec", seed=1,
