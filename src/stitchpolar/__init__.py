@@ -19,7 +19,7 @@ from .decoding import (LLR_SAT, DecodeSchedule, sc_decode, sc_decode_batch,
                        rm_llrs)
 from .reliability import (ChannelModel, ReliabilityProfile, build_baseline,
                           channel_from_snr_db, de_bec, ga_awgn, initial_values,
-                          profile_for, select_info_set)
+                          profile_for)
 from .sequences import (CouplingSequence, ValidationResult, bit_reversal_index,
                         brs_pattern, make_regular_sequence, qup_pattern,
                         validate)
@@ -27,7 +27,7 @@ from .simulate import (SearchResult, SimConfig, SimResult, SweepResult,
                        channel_transmit, simulate_bler, snr_search,
                        sweep_lengths)
 from .stitching import (CodeFamily, FamilyEntry, PartiallyStitchedLayout,
-                        StitchSpec, allocate_rates, build_family, load_family,
+                        allocate_rates, build_family, load_family,
                         partially_stitched, save_family, stitch_left,
                         stitch_right, stitched_polarization_count,
                         transform_count)
@@ -39,7 +39,7 @@ __all__ = [
     "CrcConfig", "DecodeSchedule", "FamilyEntry", "LLR_SAT",
     "PartiallyStitchedLayout", "RateMatch", "ReliabilityProfile",
     "ScalingEstimate", "SearchResult", "SimConfig", "SimResult",
-    "StitchSpec", "StructuralError", "SweepResult", "ValidationResult",
+    "StructuralError", "SweepResult", "ValidationResult",
     "allocate_rates", "bit_reversal_index", "brs_pattern", "build_baseline",
     "channel_from_snr_db",
     "build_family", "channel_transmit", "coset_spectrum", "count_unpolarized",
@@ -49,7 +49,7 @@ __all__ = [
     "profile_for", "qup_pattern", "reduced_generator", "rm_encode", "rm_llrs",
     "save_family", "scaling_fit", "sc_decode", "sc_decode_batch",
     "sc_trace", "schedule_for", "scl_decode", "scl_decode_batch",
-    "select_info_set", "simulate_bler", "snr_search", "spec_from_json",
+    "simulate_bler", "snr_search", "spec_from_json",
     "spec_to_json", "stitch_left", "stitch_right",
     "stitched_polarization_count", "sweep_lengths",
     "transform_count", "validate",

@@ -36,12 +36,8 @@ def coset_spectrum(matrix):
 
 def reduced_generator(spec: CodeSpec):
     """Generator with rate-matched positions removed from both axes."""
-    g = generator_matrix(spec.sequence)
-    if spec.rate_match is None:
-        return g
-    drop = np.asarray(sorted(spec.rate_match.pattern), dtype=np.int64) - 1
-    keep = np.setdiff1d(np.arange(spec.n_code), drop)
-    return g[np.ix_(keep, keep)]
+    keep = spec.kept_positions() - 1
+    return generator_matrix(spec.sequence)[np.ix_(keep, keep)]
 
 
 def min_distance(spec: CodeSpec):

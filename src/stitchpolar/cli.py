@@ -104,9 +104,6 @@ def _cmd_baseline(args):
 def _cmd_encode(args):
     spec = load_spec(args.code)
     bits = _read_bits(getattr(args, "in"))
-    if bits.shape[0] != spec.message_length:
-        raise ValueError(
-            f"expected {spec.message_length} message bits, got {bits.shape[0]}")
     _write_bits(args.out, rm_encode(spec, bits))
 
 
@@ -180,13 +177,7 @@ def _cmd_spectrum(args):
     if g.shape[0] > 20:
         raise ValueError("spectrum enumeration is limited to 20 positions")
     d = coset_spectrum(g)
-    pattern = spec.rate_match.pattern if spec.rate_match else frozenset()
-    rank = {}
-    r = 0
-    for i in range(1, spec.n_code + 1):
-        if i not in pattern:
-            r += 1
-            rank[i] = r
+    rank = {int(i): r for r, i in enumerate(spec.kept_positions(), 1)}
     info = [rank[i] for i in spec.info if i in rank]
     if spec.info and len(spec.info) <= 20:
         dist = min_distance(spec)

@@ -250,9 +250,11 @@ def spec_from_json(d: dict) -> CodeSpec:
     n = int(d["n"])
     seq = CouplingSequence(n, d["pairs"])
     info = tuple(int(i) for i in d["info"])
-    frozen = set(int(i) for i in d.get("frozen", []))
-    if frozen and (frozen | set(info)) != set(range(1, n + 1)):
-        raise ValueError("info and frozen do not partition 1..N")
+    if "frozen" in d:
+        # the complement of info exactly: an overlap or a gap is an error
+        rest = sorted(set(range(1, n + 1)) - set(info))
+        if sorted(int(i) for i in d["frozen"]) != rest:
+            raise ValueError("info and frozen do not partition 1..N")
     crc = None
     if d.get("crc"):
         crc_d = d["crc"]

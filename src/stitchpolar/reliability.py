@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .codes import CodeSpec, RateMatch
-from .sequences import (CouplingSequence, bit_reversal_index, brs_pattern,
-                        make_regular_sequence, validate)
+from .sequences import (CouplingSequence, brs_pattern, make_regular_sequence,
+                        qup_pattern, validate)
 
 SATURATION_MEAN = 1.0e4
 _MEAN_CAP = 1.0e5
@@ -209,44 +209,15 @@ def profile_for(spec: CodeSpec, channel: ChannelModel, check=False) -> Reliabili
     return evolve(spec.sequence, init, channel.kind, check=check)
 
 
-def select_info_set(profile: ReliabilityProfile, k):
-    """The k most reliable bit-channel indices; ties go to the lower index."""
-    n = profile.n_code
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    order = np.argsort(profile.pe, kind="stable")
-    return frozenset(int(i) + 1 for i in order[:k])
-
-
-def success_prob(profile: ReliabilityProfile, info):
-    """Product-form estimate of SC block success over the given info set."""
-    return float(np.exp(log_success(profile, info)))
-
-
-def log_success(profile: ReliabilityProfile, info):
-    if not info:
-        return 0.0
-    idx = np.asarray(sorted(info), dtype=np.int64) - 1
-    pe = np.clip(profile.pe[idx], 0.0, 1.0)
-    if (pe >= 1.0).any():
-        return -np.inf
-    return float(np.sum(np.log1p(-pe)))
-
-
-def write_profile_csv(profile: ReliabilityProfile, fh):
-    fh.write(f"index,{profile.metric},pe\n")
-    for i in range(profile.n_code):
-        fh.write(f"{i + 1},{profile.values[i]:.12g},{profile.pe[i]:.12g}\n")
-
-
 def build_baseline(kind, n, k, channel: ChannelModel) -> CodeSpec:
     """Length-matched regular code with punctured or shortened rate matching.
 
-    ``kind`` selects the pattern over the mother code of length 2^ceil(log2 n):
-    "qup" punctures the bit-reversed images of the first n0 - n input indices,
-    "brs" shortens the last n0 - n positions of the bit-reversal permutation.
-    The info set holds the k most reliable bit channels under the matched
-    design profile, never a pattern position.
+    ``kind`` selects the pattern over the mother code of length
+    N0 = 2^ceil(log2 n), both taken from the bit-reversal order of 1..N0:
+    "qup" punctures its first N0 - n entries (`qup_pattern`), "brs" shortens
+    its last N0 - n entries (`brs_pattern`).  The info set holds the k bit
+    channels of lowest error probability under the matched design profile,
+    ties to the lower index, never a pattern position.
     """
     n = int(n)
     k = int(k)
@@ -257,31 +228,15 @@ def build_baseline(kind, n, k, channel: ChannelModel) -> CodeSpec:
     m0 = (n - 1).bit_length()
     n0 = 1 << m0
     p = n0 - n
-    seq = make_regular_sequence(m0)
-    if p == 0:
-        pattern, mode, rm = None, None, None
-    elif kind == "qup":
-        pattern = frozenset(bit_reversal_index(i, m0) for i in range(1, p + 1))
-        mode = "puncture"
-        rm = RateMatch(mode, pattern)
+    if kind == "qup":
+        pattern, mode = qup_pattern(n0, p), "puncture"
     elif kind == "brs":
-        pattern = brs_pattern(n0, p)
-        mode = "shorten"
-        rm = RateMatch(mode, pattern)
+        pattern, mode = brs_pattern(n0, p), "shorten"
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    init = initial_values(channel, n0, pattern, mode)
-    profile = evolve(seq, init, channel.kind)
-    order = np.argsort(profile.pe, kind="stable")
-    blocked = pattern if pattern else frozenset()
-    info = []
-    for i in order:
-        pos = int(i) + 1
-        if pos in blocked:
-            continue
-        info.append(pos)
-        if len(info) == k:
-            break
-    if len(info) < k:
-        raise ValueError("not enough usable positions for the requested rate")
-    return CodeSpec(seq, tuple(sorted(info)), rate_match=rm)
+    rm = RateMatch(mode, pattern) if p else None
+    seq = make_regular_sequence(m0)
+    pe = evolve(seq, initial_values(channel, n0, pattern, mode), channel.kind).pe
+    pe[np.asarray(sorted(pattern), dtype=np.int64) - 1] = np.inf
+    info = np.argsort(pe, kind="stable")[:k] + 1
+    return CodeSpec(seq, tuple(int(i) for i in info), rate_match=rm)

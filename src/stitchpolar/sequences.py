@@ -55,10 +55,6 @@ class CouplingSequence:
     def __repr__(self):
         return f"CouplingSequence(N={self.n_code}, n={len(self)})"
 
-    def to_pairs(self):
-        """Pairs as a list of (a, b) int tuples, 1-based."""
-        return [(int(a), int(b)) for a, b in self.pairs]
-
     @property
     def batch_breaks(self):
         """Offsets 0 = o_0 < ... < o_k = n delimiting disjoint-pair runs."""
@@ -128,12 +124,7 @@ def bit_reversal_index(z, m):
     n = 1 << m
     if not 1 <= z <= n:
         raise ValueError(f"index {z} out of range 1..{n}")
-    v = z - 1
-    r = 0
-    for _ in range(m):
-        r = (r << 1) | (v & 1)
-        v >>= 1
-    return r + 1
+    return int(bit_reversal_permutation(m)[z - 1])
 
 
 def bit_reversal_permutation(m):
@@ -155,10 +146,15 @@ def _check_mother_length(n0):
 
 
 def qup_pattern(n0, p):
-    """Quasi-uniform puncturing pattern: the first p indices."""
+    """Quasi-uniform puncturing pattern: first p entries of the bit-reversal order.
+
+    These are the bit-reversed images of input indices 1..p (Niu, Chen & Lin,
+    ICC 2013), the natural-domain positions a punctured mother code drops.
+    """
+    m = _check_mother_length(n0)
     if not 0 <= p < n0:
         raise ValueError("puncture count must satisfy 0 <= p < N0")
-    return frozenset(range(1, p + 1))
+    return frozenset(int(v) for v in bit_reversal_permutation(m)[:p])
 
 
 def brs_pattern(n0, s):
@@ -166,10 +162,7 @@ def brs_pattern(n0, s):
     m = _check_mother_length(n0)
     if not 0 <= s < n0:
         raise ValueError("shorten count must satisfy 0 <= s < N0")
-    if s == 0:
-        return frozenset()
-    q = bit_reversal_permutation(m)
-    return frozenset(int(v) for v in q[n0 - s:])
+    return frozenset(int(v) for v in bit_reversal_permutation(m)[n0 - s:])
 
 
 class ValidationResult(NamedTuple):

@@ -8,6 +8,7 @@ the outcome is therefore identical for any number of workers.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -121,7 +122,9 @@ def simulate_bler(cfg: SimConfig, workers=1) -> SimResult:
     target = cfg.max_trials if cfg.trials is None else int(cfg.trials)
     if target < 1:
         raise ValueError("trial budget must be positive")
-    w = max(1, int(workers))
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    w = int(workers)
     n_chunks = -(-target // cfg.chunk)
     t0 = time.perf_counter()
     total = errors = bit_errors = 0

@@ -109,34 +109,6 @@ def stitch_right(upper: CouplingSequence, lower: CouplingSequence, positions) ->
     return CouplingSequence(nu + nl, pairs, breaks)
 
 
-@dataclass(frozen=True)
-class StitchSpec:
-    """Declarative form of one stitch step; `apply` materializes it."""
-
-    side: str
-    upper: CouplingSequence
-    lower: CouplingSequence
-    positions: tuple
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        object.__setattr__(self, "positions",
-                           tuple(int(i) for i in self.positions))
-        nu, nl = self.upper.n_code, self.lower.n_code
-        if self.side == "left":
-            if nu > nl:
-                raise ValueError("left stitch requires the upper code to be no longer")
-            _check_positions(self.positions, nl, nu)
-        else:
-            _check_positions(self.positions, max(nu, nl), min(nu, nl))
-
-    def apply(self) -> CouplingSequence:
-        if self.side == "left":
-            return stitch_left(self.upper, self.lower, self.positions)
-        return stitch_right(self.upper, self.lower, self.positions)
-
-
 def transform_count(obj):
     """Number of coupling pairs (binary transforms) in a sequence or spec."""
     if isinstance(obj, CodeSpec):
@@ -421,26 +393,20 @@ def _coarse_stage_batches(n0, block, in_pattern):
     return batches
 
 
-def partially_stitched(n, k, s, family: CodeFamily, channel: ChannelModel = None):
-    """Family codes in the sub-blocks of a shortened regular transform.
+def _sub_blocks(n, s, family: CodeFamily, channel: ChannelModel):
+    """Shared layout of a partially stitched code of length n with 2^s blocks.
 
-    The mother transform has length N0 = 2^ceil(log2 n); N0 - n positions are
-    shortened with the bit-reversal pattern, splitting the rest into
-    contiguous sub-blocks of at most 2^s live positions.  Each sub-block
-    carries the family code of its live length, and the cross-block stages of
-    spans N0/2 down to 2^s couple the blocks.  Rates come from the greedy
-    allocator seeded with each block's reliability after the coarse stages.
-    Returns (CodeSpec, PartiallyStitchedLayout).
+    The mother transform has length N0 = 2^ceil(log2 n) and its last N0 - n
+    positions in bit-reversal order are shortened.  Returns (N0, s_eff,
+    pattern, in_pattern, lengths, coarse, seeds): the effective block
+    exponent min(s, log2 N0), the pattern as a set and as a mask over
+    0..N0, the live length of each block, the cross-block stage batches, and
+    each block's input reliability after those stages.
     """
-    if channel is None:
-        channel = family.channel
     n = int(n)
-    k = int(k)
     s = int(s)
     if n < 1:
         raise ValueError("code length must be positive")
-    if not 0 <= k <= n:
-        raise ValueError("dimension out of range")
     if s < 0 or (1 << s) > family.max_length:
         raise ValueError("sub-block size must fit inside the family")
     m0 = (n - 1).bit_length()
@@ -458,16 +424,39 @@ def partially_stitched(n, k, s, family: CodeFamily, channel: ChannelModel = None
     lengths = np.bincount(block_of, minlength=n_blocks)
     if (lengths == 0).any():
         raise StructuralError("a sub-block was shortened away entirely")
-    if (lengths < block // 2).any():
-        warnings.warn("sub-block live length below half the block size")
 
-    # reliability at the sub-block boundary, then per-block rate split
+    # reliability at the sub-block boundary
     coarse = _coarse_stage_batches(n0, block, in_pattern)
     cpairs, cbreaks = _concat_parts([(st, [0, st.shape[0]]) for st in coarse])
     coarse_seq = CouplingSequence(n0, cpairs, cbreaks)
     init = initial_values(channel, n0, pattern or None, "shorten")
     values = evolve(coarse_seq, init, channel.kind).values
     seeds = np.split(values[live - 1], np.cumsum(lengths)[:-1])
+    return n0, s_eff, pattern, in_pattern, lengths, coarse, seeds
+
+
+def partially_stitched(n, k, s, family: CodeFamily, channel: ChannelModel = None):
+    """Family codes in the sub-blocks of a shortened regular transform.
+
+    The mother transform has length N0 = 2^ceil(log2 n); N0 - n positions are
+    shortened with the bit-reversal pattern, splitting the rest into
+    contiguous sub-blocks of at most 2^s live positions.  Each sub-block
+    carries the family code of its live length, and the cross-block stages of
+    spans N0/2 down to 2^s couple the blocks.  Rates come from the greedy
+    allocator seeded with each block's reliability after the coarse stages.
+    Returns (CodeSpec, PartiallyStitchedLayout).
+    """
+    if channel is None:
+        channel = family.channel
+    n = int(n)
+    k = int(k)
+    if not 0 <= k <= n:
+        raise ValueError("dimension out of range")
+    n0, s_eff, pattern, in_pattern, lengths, coarse, seeds = _sub_blocks(
+        n, s, family, channel)
+    block = 1 << s_eff
+    if (lengths < block // 2).any():
+        warnings.warn("sub-block live length below half the block size")
     dims = allocate_rates(seeds, lengths, k, family, channel)
 
     rank = np.zeros(n0 + 1, dtype=np.int64)
@@ -518,37 +507,10 @@ def stitched_polarization_count(n, s, family: CodeFamily, channel: ChannelModel 
         channel = family.channel
     if channel.kind != "bec":
         raise ValueError("polarization counting is defined over the BEC")
-    n = int(n)
-    s = int(s)
-    if n < 1:
-        raise ValueError("code length must be positive")
-    if s < 0 or (1 << s) > family.max_length:
-        raise ValueError("sub-block size must fit inside the family")
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("band must satisfy 0 < a < b < 1")
-    m0 = (n - 1).bit_length()
-    n0 = 1 << m0
-    s_eff = min(s, m0)
-    block = 1 << s_eff
-    pattern = brs_pattern(n0, n0 - n)
-
-    in_pattern = np.zeros(n0 + 1, dtype=bool)
-    if pattern:
-        in_pattern[np.asarray(sorted(pattern), dtype=np.int64)] = True
-    live = np.flatnonzero(~in_pattern[1:]) + 1
-    block_of = (live - 1) >> s_eff
-    n_blocks = n0 >> s_eff
-    lengths = np.bincount(block_of, minlength=n_blocks)
-    if (lengths == 0).any():
-        raise StructuralError("a sub-block was shortened away entirely")
-
-    coarse = _coarse_stage_batches(n0, block, in_pattern)
-    cpairs, cbreaks = _concat_parts([(st, [0, st.shape[0]]) for st in coarse])
-    coarse_seq = CouplingSequence(n0, cpairs, cbreaks)
-    init = initial_values(channel, n0, pattern or None, "shorten")
-    values = evolve(coarse_seq, init, "bec").values
-    seeds = np.split(values[live - 1], np.cumsum(lengths)[:-1])
+    _, s_eff, _, _, lengths, _, seeds = _sub_blocks(n, s, family, channel)
 
     def in_band(seq, stack):
         z = evolve(seq, stack, "bec").values
@@ -560,8 +522,8 @@ def stitched_polarization_count(n, s, family: CodeFamily, channel: ChannelModel 
         ni = int(ni)
         stack = np.stack([sd for sd, ln in zip(seeds, lengths) if ln == ni])
         cands = [family.spec(ni, ki).sequence for ki in range(ni + 1)]
-        if ni == block:
+        if ni == 1 << s_eff:
             cands.insert(0, make_regular_sequence(s_eff))
         counts = np.stack([in_band(sq, stack) for sq in cands])
         total += int(counts.min(axis=0).sum())
-    return total, total / n
+    return total, total / int(n)

@@ -127,6 +127,21 @@ def test_decode_rejects_nan_llr(capsys, tmp_path):
         assert "NaN" in rep["message"]
 
 
+def test_decode_rejects_frozen_overlapping_info(capsys, tmp_path):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps({"n": 2, "pairs": [[1, 2]],
+                                     "info": [1, 2], "frozen": [1]}))
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text("1.0 2.0\n")
+    code, out, err = _run(capsys, "decode", "--code", str(spec_path),
+                          "--llr", str(llr_path))
+    assert code == 1
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "ValueError"
+    assert "partition" in rep["message"]
+
+
 def test_bad_channel_token(capsys, tmp_path):
     code, _, err = _run(capsys, "construct-family", "--max-len", "3",
                         "--channel", "gauss", "--out", str(tmp_path / "f.json"))
@@ -189,6 +204,20 @@ def test_snr_search_cli(capsys, tmp_path):
     assert rep["kind"] == "bec"
     assert 0.1 <= rep["param"] <= 0.8
     assert len(rep["evals"]) >= 3
+
+
+def test_simulate_cli_rejects_zero_workers(capsys, tmp_path):
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    code, out, err = _run(capsys, "simulate", "--code", str(spec_path),
+                          "--channel", "bec:0.5", "--trials", "64",
+                          "--workers", "0")
+    assert code == 1
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "ValueError"
+    assert "workers" in rep["message"]
 
 
 def test_snr_search_cli_rejects_zero_tol(capsys, tmp_path):

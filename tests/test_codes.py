@@ -170,3 +170,13 @@ def test_spec_json_rejects_bad_partition():
     d["frozen"] = [1, 2]
     with pytest.raises(ValueError):
         spec_from_json(d)
+
+
+def test_spec_json_rejects_frozen_overlapping_info():
+    d = {"n": 2, "pairs": [[1, 2]], "info": [1, 2], "frozen": [1]}
+    with pytest.raises(ValueError, match="partition"):
+        spec_from_json(d)
+    d["frozen"] = []
+    assert spec_from_json(d).info == (1, 2)
+    del d["frozen"]
+    assert spec_from_json(d).info == (1, 2)

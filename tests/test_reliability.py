@@ -1,16 +1,18 @@
-import io
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 import oracles as O
 import vectors as V
+from stitchpolar.codes import spec_to_json
 from stitchpolar.reliability import (SATURATION_MEAN, ChannelModel,
                                      build_baseline, channel_from_snr_db,
                                      de_bec, ga_awgn, initial_values,
-                                     log_success, profile_for, select_info_set,
-                                     success_prob, write_profile_csv)
-from stitchpolar.sequences import CouplingSequence, make_regular_sequence
+                                     profile_for)
+from stitchpolar.sequences import (CouplingSequence, brs_pattern,
+                                   make_regular_sequence, qup_pattern)
 
 
 def test_channel_model_accessors():
@@ -138,22 +140,52 @@ def test_profile_for_baselines():
     assert profile_for(q2, awgn).metric == "mean_llr"
 
 
-def test_select_info_set_ties_go_low():
-    prof = de_bec(make_regular_sequence(2), np.full(4, 0.5))
-    assert select_info_set(prof, 2) == frozenset({2, 4})
-    flat = de_bec(make_regular_sequence(1), np.array([0.0, 0.0]), check=False)
-    assert select_info_set(flat, 1) == frozenset({1})
-    with pytest.raises(ValueError):
-        select_info_set(prof, 5)
+def test_build_baseline_ties_go_low():
+    # regular m=2 at BEC 0.5: pe = (0.9375, 0.4375, 0.5625, 0.0625)
+    assert build_baseline("qup", 4, 2, ChannelModel("bec", 0.5)).info == (2, 4)
+    # a flat design: every unblocked pe is 0, so the lowest indices win
+    flat = ChannelModel("bec", 0.0)
+    for kind in ("qup", "brs"):
+        for k in (0, 1, 17, 40, 64):
+            assert build_baseline(kind, 64, k, flat).info == tuple(range(1, k + 1))
+    # shortening keeps the design flat: the lowest unshortened indices win
+    live = [i for i in range(1, 65) if i not in brs_pattern(64, 24)]
+    assert build_baseline("brs", 40, 20, flat).info == tuple(live[:20])
 
 
-def test_success_prob_product_form():
-    prof = de_bec(make_regular_sequence(2), np.full(4, 0.5))
-    expect = (1 - 0.4375) * (1 - 0.0625)
-    assert success_prob(prof, {2, 4}) == pytest.approx(expect)
-    assert success_prob(prof, set()) == 1.0
-    hard = de_bec(make_regular_sequence(1), np.array([1.0, 1.0]), check=False)
-    assert log_success(hard, {1}) == -np.inf
+def test_build_baseline_k0_is_all_frozen():
+    bec = ChannelModel("bec", 0.5)
+    for kind in ("qup", "brs"):
+        for n in (5, 8):
+            spec = build_baseline(kind, n, 0, bec)
+            assert spec.info == ()
+            assert spec.message_length == 0
+
+
+def test_build_baseline_punctures_qup_pattern():
+    bec = ChannelModel("bec", 0.5)
+    for n in range(2, 41):
+        n0 = 1 << (n - 1).bit_length()
+        spec = build_baseline("qup", n, n // 2, bec)
+        pattern = spec.rate_match.pattern if spec.rate_match else frozenset()
+        assert pattern == qup_pattern(n0, n0 - n)
+
+
+# sha256 of json.dumps(spec_to_json(build_baseline(kind, n, k, 1 dB)),
+# sort_keys=True), as the loop over the sorted profile built them
+BASELINE_SHA256 = {
+    ("qup", 320, 160): "4ab138ec46d32cd83df3d420f25622d6671543d8dc977b1c2814298eff74a1a1",
+    ("qup", 40, 20): "d77fb03474643dbf0d2c1b3237d087d596990c5662ef39c3fcab582f931e257a",
+    ("brs", 320, 160): "ea6a67eef44a29a32f4d9213cd7a00f404898850bf365bf326d4dd4c9c2a6417",
+    ("brs", 40, 20): "5864fc9090deac9dbb054f1176527d1f2cfc0cb630f4b8f7d3732f31f807d3f6",
+}
+
+
+@pytest.mark.parametrize("kind, n, k", sorted(BASELINE_SHA256))
+def test_build_baseline_pinned(kind, n, k):
+    spec = build_baseline(kind, n, k, channel_from_snr_db(1.0))
+    text = json.dumps(spec_to_json(spec), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BASELINE_SHA256[(kind, n, k)]
 
 
 def test_build_baseline_structure():
@@ -183,15 +215,6 @@ def test_build_baseline_input_checks():
         build_baseline("qup", 5, 6, bec)
     with pytest.raises(ValueError):
         build_baseline("qup", 0, 0, bec)
-    with pytest.raises(ValueError):
-        build_baseline("other", 5, 2, bec)
-
-
-def test_write_profile_csv():
-    prof = de_bec(make_regular_sequence(2), np.full(4, 0.5))
-    buf = io.StringIO()
-    write_profile_csv(prof, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "index,erasure_prob,pe"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,0.9375")
+    for n in (5, 8):  # a power of two has no pattern, but the kind still counts
+        with pytest.raises(ValueError):
+            build_baseline("other", n, 2, bec)

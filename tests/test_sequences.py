@@ -64,12 +64,14 @@ def test_bit_reversal_index():
 
 
 def test_rate_match_patterns():
-    assert tuple(sorted(qup_pattern(8, 3))) == (1, 2, 3)
+    assert tuple(sorted(qup_pattern(8, 3))) == V.QUP_PATTERN_8_3
     assert tuple(sorted(brs_pattern(8, 2))) == V.BRS_PATTERN_8_2
     assert tuple(sorted(brs_pattern(8, 3))) == V.BRS_PATTERN_8_3
     assert tuple(sorted(brs_pattern(16, 4))) == V.BRS_PATTERN_16_4
     with pytest.raises(ValueError):
         qup_pattern(8, 8)
+    with pytest.raises(ValueError):
+        qup_pattern(6, 2)  # mother length must be a power of two
     with pytest.raises(ValueError):
         brs_pattern(8, -1)
     with pytest.raises(ValueError):

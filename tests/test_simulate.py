@@ -129,6 +129,11 @@ def test_simulate_reports_and_checks():
         simulate_bler(SimConfig(spec, ChannelModel("bec", 0.5), trials=0))
     with pytest.raises(ValueError):
         simulate_bler(SimConfig(spec, ChannelModel("bec", 0.5), chunk=0))
+    cfg = SimConfig(spec, ChannelModel("bec", 0.5), trials=64, chunk=64)
+    for workers in (0, -1, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_bler(cfg, workers=workers)
+    assert simulate_bler(cfg, workers=np.int64(2)).trials == 64
 
 
 def test_simulate_with_list_decoding():

@@ -6,12 +6,12 @@ import pytest
 
 import oracles as O
 import vectors as V
-from stitchpolar.codes import CodeSpec, encode, generator_matrix
+from stitchpolar.codes import CodeSpec, encode, generator_matrix, spec_to_json
 from stitchpolar.decoding import sc_decode
 from stitchpolar.reliability import ChannelModel, channel_from_snr_db, profile_for
 from stitchpolar.analysis import count_unpolarized
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence, validate
-from stitchpolar.stitching import (StitchSpec, allocate_rates, build_family,
+from stitchpolar.stitching import (allocate_rates, build_family,
                                    load_family, partially_stitched, save_family,
                                    stitch_left, stitch_right,
                                    stitched_polarization_count, transform_count)
@@ -64,23 +64,6 @@ def test_stitch_argument_checks():
         stitch_left(c2, c4, (1, 5))        # out of range
     with pytest.raises(ValueError):
         stitch_right(c2, c4, (0, 3))
-    with pytest.raises(ValueError):
-        StitchSpec("middle", c2, c4, (1, 2))
-    with pytest.raises(ValueError):
-        StitchSpec("left", c4, c2, (1, 2, 3, 4))
-
-
-def test_stitch_spec_applies():
-    ex = V.LEFT_EXAMPLE
-    up = CouplingSequence(ex["upper_n"], ex["upper_pairs"])
-    lo = CouplingSequence(ex["lower_n"], ex["lower_pairs"])
-    ss = StitchSpec("left", up, lo, ex["positions"])
-    assert [tuple(p) for p in ss.apply().pairs] == ex["pairs"]
-    ex = V.RIGHT_EXAMPLES[0]
-    ss = StitchSpec("right", CouplingSequence(ex["upper_n"], ex["upper_pairs"]),
-                    CouplingSequence(ex["lower_n"], ex["lower_pairs"]),
-                    ex["positions"])
-    assert [tuple(p) for p in ss.apply().pairs] == ex["pairs"]
 
 
 def test_compositions_stay_valid(rng):
@@ -319,6 +302,21 @@ def test_partially_stitched_large(fam64, rng):
     assert (info == msg).all()
 
 
+# sha256 of json.dumps(spec_to_json(spec) | {"layout": layout.to_json()},
+# sort_keys=True) for partially_stitched(320, 160, 5) over a GA family of 32
+# at 1 dB, as the construction gave it before its layout had one definition
+STC320_SHA256 = "4808b52eca3368688d9e610aadebe3a05ffbf38448ad6afd746d8396463b1033"
+
+
+def test_partially_stitched_pinned():
+    spec, layout = partially_stitched(320, 160, 5,
+                                      build_family(32, channel_from_snr_db(1.0)))
+    d = spec_to_json(spec)
+    d["layout"] = layout.to_json()
+    text = json.dumps(d, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == STC320_SHA256
+
+
 def test_partially_stitched_power_of_two(fam8):
     spec, layout = partially_stitched(8, 3, 2, fam8)
     assert layout.n_mother == 8
@@ -347,6 +345,11 @@ def test_polarization_count(fam8):
     count16, frac16 = stitched_polarization_count(16, 3, fam8)
     assert 0 <= count16 <= 16
     assert frac16 == pytest.approx(count16 / 16)
+
+
+@pytest.mark.parametrize("n, s, count", [(11, 2, 9), (27, 3, 17), (100, 2, 46)])
+def test_polarization_count_pinned(fam8, n, s, count):
+    assert stitched_polarization_count(n, s, fam8) == (count, count / n)
 
 
 def test_polarization_count_checks(fam8):
