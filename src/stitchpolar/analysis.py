@@ -29,8 +29,10 @@ def coset_spectrum(matrix):
     out = np.zeros(rows, dtype=np.int64)
     span = np.zeros((1, g.shape[1]), dtype=np.uint8)
     for i in range(rows - 1, -1, -1):
-        out[i] = int((span ^ g[i]).sum(axis=1).min())
-        span = np.concatenate([span, span ^ g[i]], axis=0)
+        coset = span ^ g[i]
+        out[i] = int(coset.sum(axis=1).min())
+        if i:
+            span = np.concatenate([span, coset], axis=0)
     return out
 
 
@@ -43,29 +45,26 @@ def reduced_generator(spec: CodeSpec):
 def min_distance(spec: CodeSpec):
     """Minimum distance over the transmitted positions; inf for K = 0.
 
-    Enumerates all 2^K nonzero info-bit combinations, so K is capped at 20.
+    A nonzero combination of info rows weighs at least D_i of its first row
+    i in the coset spectrum of those rows, and some combination reaches it,
+    so the distance is the smallest D_i.  K is capped at 20.
     """
-    k = len(spec.info)
-    if k == 0:
+    if not spec.info:
         return math.inf
-    if k > _ENUM_CAP:
-        raise ValueError(f"distance enumeration is limited to {_ENUM_CAP} info bits")
     g = generator_matrix(spec.sequence)
-    kept = spec.kept_positions() - 1
-    rows = g[np.asarray(spec.info, dtype=np.int64) - 1][:, kept]
-    combos = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    for r in rows:
-        combos = np.concatenate([combos, combos ^ r], axis=0)
-    return int(combos[1:].sum(axis=1).min())
+    rows = g[np.asarray(spec.info, dtype=np.int64) - 1][:, spec.kept_positions() - 1]
+    return int(coset_spectrum(rows).min())
 
 
 def count_unpolarized(profile: ReliabilityProfile, band=(0.01, 0.99)):
     """Count of bit channels whose capacity sits inside the closed band,
     with the fraction of profile positions that count represents.
 
-    Defined for erasure profiles, where capacity is exactly 1 - z.  For a
-    rate-matched profile the fraction is over the mother length; callers that
-    want the fraction over live positions renormalize themselves.
+    Counts along the last axis, so a profile evolved from a stack of seeds
+    gives one count per seed row.  Defined for erasure profiles, where
+    capacity is exactly 1 - z.  For a rate-matched profile the fraction is
+    over the mother length; callers that want the fraction over live
+    positions renormalize themselves.
     """
     if profile.metric != "erasure_prob":
         raise ValueError("unpolarized counting needs an erasure profile")
@@ -73,7 +72,7 @@ def count_unpolarized(profile: ReliabilityProfile, band=(0.01, 0.99)):
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("band must satisfy 0 < lo < hi < 1")
     cap = 1.0 - profile.values
-    count = int(((cap >= lo) & (cap <= hi)).sum())
+    count = np.count_nonzero((cap >= lo) & (cap <= hi), axis=-1)
     return count, count / cap.shape[-1]
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -109,21 +108,16 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = load_spec(args.code)
-    llrs = _read_llrs(args.llr)
-    if llrs.shape[0] != spec.outer_length:
-        raise ValueError(
-            f"expected {spec.outer_length} llrs, got {llrs.shape[0]}")
-    full = rm_llrs(spec, llrs)
-    f_mode = "minsum" if args.minsum else "exact"
-    if args.list_size > 1:
-        ranked, selected, crc_ok = scl_decode(spec, full, args.list_size, f_mode)
+    full = rm_llrs(spec, _read_llrs(args.llr))
+    if args.list_size != 1:
+        ranked, selected, crc_ok = scl_decode(spec, full, args.list_size, args.f_mode)
         _emit({"paths": [{"info_bits": [int(b) for b in bits],
                           "metric": metric} for bits, metric in ranked],
                "selected": selected, "crc_ok": crc_ok})
     else:
-        info_bits, x_hat = sc_decode(spec, full, f_mode)
+        info_bits, x_hat = sc_decode(spec, full, args.f_mode)
         _emit({"info_bits": [int(b) for b in info_bits],
-               "codeword": [int(b) for b in x_hat]})
+               "codeword": [int(b) for b in x_hat[spec.kept_positions() - 1]]})
 
 
 def _cmd_simulate(args):
@@ -131,7 +125,7 @@ def _cmd_simulate(args):
     cfg = SimConfig(spec, _channel_from_token(args.channel), seed=args.seed,
                     trials=args.trials, max_trials=args.max_trials,
                     min_errors=args.min_errors, list_size=args.list_size,
-                    f_mode="minsum" if args.minsum else "exact", chunk=args.chunk)
+                    f_mode=args.f_mode, chunk=args.chunk)
     res = simulate_bler(cfg, workers=args.workers)
     out = res.to_json()
     out["channel"] = args.channel
@@ -145,7 +139,7 @@ def _cmd_snr_search(args):
     kind = "bec" if args.channel_kind == "bec" else "biawgn"
     sr = snr_search(spec, args.target, _parse_pair(args.bracket, "bracket"),
                     channel_kind=kind, seed=args.seed, list_size=args.list_size,
-                    f_mode="minsum" if args.minsum else "exact", tol=args.tol,
+                    f_mode=args.f_mode, tol=args.tol,
                     max_trials=args.max_trials, min_errors=args.min_errors,
                     workers=args.workers, chunk=args.chunk)
     _emit({"kind": kind, "param": sr.param,
@@ -179,11 +173,7 @@ def _cmd_spectrum(args):
     d = coset_spectrum(g)
     rank = {int(i): r for r, i in enumerate(spec.kept_positions(), 1)}
     info = [rank[i] for i in spec.info if i in rank]
-    if spec.info and len(spec.info) <= 20:
-        dist = min_distance(spec)
-        dist = None if math.isinf(dist) else int(dist)
-    else:
-        dist = None
+    dist = min_distance(spec) if 0 < len(spec.info) <= 20 else None
     _emit({"n": int(g.shape[0]), "spectrum": [int(x) for x in d],
            "info": info, "min_distance": dist})
 
@@ -192,6 +182,9 @@ def _cmd_scaling(args):
     lo, hi = (int(x) for x in args.m_range.split(":"))
     if lo > hi:
         raise ValueError("m-range must be A:B with A <= B")
+    t = args.offset_t
+    if t is not None and not 1 <= t <= lo:
+        raise ValueError(f"--offset-t must lie in 1..{lo} for --m-range {lo}:{hi}, got {t}")
     band = _parse_pair(args.band, "band")
     eps = args.epsilon
     channel = ChannelModel("bec", eps)
@@ -202,13 +195,13 @@ def _cmd_scaling(args):
     rows = []
     for m in range(lo, hi + 1):
         if args.scheme == "regular":
-            if args.offset_t is not None:
+            if t is not None:
                 raise ValueError("regular codes exist at powers of two only")
             n = 1 << m
             prof = de_bec(make_regular_sequence(m), np.full(n, eps), check=False)
             count, _ = count_unpolarized(prof, band)
         else:
-            n = (1 << m) + ((1 << (m - args.offset_t)) if args.offset_t else 0)
+            n = (1 << m) + (0 if t is None else 1 << (m - t))
             if args.scheme in ("qup", "brs"):
                 spec = build_baseline(args.scheme, n, 0, channel)
                 count, _ = count_unpolarized(profile_for(spec, channel), band)
@@ -231,10 +224,26 @@ def _cmd_scaling(args):
     print(json.dumps(summary))
 
 
+def _monte_carlo_options(max_trials):
+    """Options of the Monte-Carlo commands; a fresh parser per command,
+    since argparse shares a parent's actions and so its defaults."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-trials", type=int, default=max_trials)
+    p.add_argument("--min-errors", type=int, default=100)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
+    return p
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="stitchpolar",
                                 description="Stitched polar code workbench")
     sub = p.add_subparsers(dest="command", required=True)
+    decoder = argparse.ArgumentParser(add_help=False)
+    decoder.add_argument("--list", dest="list_size", type=int, default=1)
+    decoder.add_argument("--minsum", dest="f_mode", action="store_const",
+                         const="minsum", default="exact")
 
     q = sub.add_parser("construct-family", help="search best stitched codes up to a length")
     q.add_argument("--max-len", type=int, required=True)
@@ -268,43 +277,31 @@ def build_parser():
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_encode)
 
-    q = sub.add_parser("decode", help="LLRs to message bits")
+    q = sub.add_parser("decode", parents=[decoder],
+                       help="LLRs to message bits")
     q.add_argument("--code", required=True)
     q.add_argument("--llr", required=True)
-    q.add_argument("--list", dest="list_size", type=int, default=1)
-    q.add_argument("--minsum", action="store_true")
     q.set_defaults(func=_cmd_decode)
 
-    q = sub.add_parser("simulate", help="Monte-Carlo block error rate")
+    q = sub.add_parser("simulate", parents=[decoder, _monte_carlo_options(10_000_000)],
+                       help="Monte-Carlo block error rate")
     q.add_argument("--code", required=True)
     q.add_argument("--channel", required=True)
     q.add_argument("--trials", type=int, default=None)
-    q.add_argument("--max-trials", type=int, default=10_000_000)
-    q.add_argument("--min-errors", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--list", dest="list_size", type=int, default=1)
-    q.add_argument("--minsum", action="store_true")
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_simulate)
 
-    q = sub.add_parser("snr-search", help="channel parameter hitting a target BLER")
+    q = sub.add_parser("snr-search", parents=[decoder, _monte_carlo_options(1_000_000)],
+                       help="channel parameter hitting a target BLER")
     q.add_argument("--code", required=True)
     q.add_argument("--target", type=float, required=True)
     q.add_argument("--bracket", required=True)
     q.add_argument("--channel-kind", choices=("awgn", "bec"), default="awgn")
     q.add_argument("--tol", type=float, default=0.02)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--list", dest="list_size", type=int, default=1)
-    q.add_argument("--minsum", action="store_true")
-    q.add_argument("--max-trials", type=int, default=1_000_000)
-    q.add_argument("--min-errors", type=int, default=100)
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.set_defaults(func=_cmd_snr_search)
 
-    q = sub.add_parser("sweep", help="required SNR across lengths and schemes")
+    q = sub.add_parser("sweep", parents=[_monte_carlo_options(1_000_000)],
+                       help="required SNR across lengths and schemes")
     q.add_argument("--rate", type=float, required=True)
     q.add_argument("--lengths", required=True, help="comma-separated lengths")
     q.add_argument("--schemes", required=True, help="comma-separated: qup,brs,stc")
@@ -314,11 +311,6 @@ def build_parser():
     q.add_argument("--s", type=int, default=6)
     q.add_argument("--design-snr", type=float, default=1.0)
     q.add_argument("--channel-kind", choices=("awgn", "bec"), default="awgn")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-trials", type=int, default=1_000_000)
-    q.add_argument("--min-errors", type=int, default=100)
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--chunk", type=int, default=CHUNK_TRIALS)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_sweep)
 

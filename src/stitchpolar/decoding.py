@@ -529,13 +529,11 @@ def rm_llrs(spec: CodeSpec, llrs):
     Accepts a single vector or a batch with trailing axis of kept length.
     """
     llrs = np.asarray(llrs, dtype=float)
+    if llrs.shape[-1] != spec.outer_length:
+        raise ValueError(f"expected {spec.outer_length} llrs, got {llrs.shape[-1]}")
     if spec.rate_match is None:
-        if llrs.shape[-1] != spec.n_code:
-            raise ValueError("llr length must equal code length")
         return llrs
     kept = spec.kept_positions() - 1
-    if llrs.shape[-1] != kept.shape[0]:
-        raise ValueError("llr length must equal transmitted length")
     fill = 0.0 if spec.rate_match.mode == "puncture" else LLR_SAT
     out = np.full(llrs.shape[:-1] + (spec.n_code,), fill)
     out[..., kept] = llrs

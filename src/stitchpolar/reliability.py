@@ -195,18 +195,18 @@ def evolve_stages(state, stages, kind) -> ReliabilityProfile:
     return ReliabilityProfile("mean_llr", state, 0.5 * erfc(np.sqrt(state) / 2.0))
 
 
-def evolve(seq: CouplingSequence, init, kind, check=False) -> ReliabilityProfile:
+def evolve(seq: CouplingSequence, init, kind) -> ReliabilityProfile:
     """DE (kind "bec") or GA (kind "biawgn") of `seq` from channel seeds."""
-    return (de_bec if kind == "bec" else ga_awgn)(seq, init, check=check)
+    return (de_bec if kind == "bec" else ga_awgn)(seq, init, check=False)
 
 
-def profile_for(spec: CodeSpec, channel: ChannelModel, check=False) -> ReliabilityProfile:
+def profile_for(spec: CodeSpec, channel: ChannelModel) -> ReliabilityProfile:
     """Reliability of a code spec under its rate matching, if any."""
     pattern = mode = None
     if spec.rate_match is not None:
         pattern, mode = spec.rate_match.pattern, spec.rate_match.mode
     init = initial_values(channel, spec.n_code, pattern, mode)
-    return evolve(spec.sequence, init, channel.kind, check=check)
+    return evolve(spec.sequence, init, channel.kind)
 
 
 def build_baseline(kind, n, k, channel: ChannelModel) -> CodeSpec:

@@ -170,40 +170,27 @@ class ValidationResult(NamedTuple):
 
     ``first_bad`` is the 1-based position (in listed order) of the pair at
     which the reverse sweep found overlapping observation sets, or None.
-    ``observations`` and ``side_info`` hold the final per-index A and V sets
-    as bitmasks (bit j-1 stands for index j); on failure they reflect the
-    state at the point of rejection.
     """
 
     valid: bool
     first_bad: Optional[int]
-    observations: tuple
-    side_info: tuple
 
 
 def validate(seq: CouplingSequence) -> ValidationResult:
     """Check that a sequence is decodable by f/g operations.
 
     Sweeps the pairs in reverse, growing per-index observation sets A_j from
-    the singletons {j}.  A pair (a, b) is admissible only while A_a and A_b
-    are disjoint; both then become their union, and the side-information set
-    of b picks up a's decision.  Overlapping observation sets mean the two
-    inputs of the kernel are statistically dependent, so the f/g split is no
-    longer exact; the first such pair is reported.
+    the singletons {j}, kept as bitmasks (bit j stands for index j).  A pair
+    (a, b) is admissible only while A_a and A_b are disjoint; both then
+    become their union.  Overlapping observation sets mean the two inputs of
+    the kernel are statistically dependent, so the f/g split is no longer
+    exact; the first such pair is reported.
     """
-    n_idx = seq.n_code
-    a_sets = [1 << j for j in range(n_idx)]
-    v_sets = [0] * n_idx
-    pairs = seq.pairs
-    for i in range(pairs.shape[0] - 1, -1, -1):
-        a = int(pairs[i, 0]) - 1
-        b = int(pairs[i, 1]) - 1
-        if a_sets[a] & a_sets[b]:
-            return ValidationResult(False, i + 1, tuple(a_sets), tuple(v_sets))
-        union = a_sets[a] | a_sets[b]
-        a_sets[a] = union
-        a_sets[b] = union
-        v_union = v_sets[a] | v_sets[b]
-        v_sets[a] = v_union
-        v_sets[b] = v_union | (1 << a)
-    return ValidationResult(True, None, tuple(a_sets), tuple(v_sets))
+    obs = [1 << j for j in range(seq.n_code + 1)]
+    pairs = seq.pairs.tolist()
+    for i in range(len(pairs) - 1, -1, -1):
+        a, b = pairs[i]
+        if obs[a] & obs[b]:
+            return ValidationResult(False, i + 1)
+        obs[a] = obs[b] = obs[a] | obs[b]
+    return ValidationResult(True, None)

@@ -23,10 +23,11 @@ from __future__ import annotations
 import heapq
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import count_unpolarized
 from .codes import CodeSpec, StructuralError, spec_from_json, spec_to_json
 # de_bec and ga_awgn stay importable here: perfbench/spans.py wraps them at this module
 from .reliability import (ChannelModel, de_bec, evolve, evolve_stages,  # noqa: F401
@@ -133,22 +134,26 @@ class CodeFamily:
     def __contains__(self, key):
         return (int(key[0]), int(key[1])) in self.entries
 
-    def spec(self, n, k) -> CodeSpec:
+    def _entry(self, n, k) -> FamilyEntry:
         try:
-            return self.entries[(int(n), int(k))].spec
+            return self.entries[(int(n), int(k))]
         except KeyError:
             raise KeyError(f"family has no entry for N={n}, K={k}") from None
+
+    def spec(self, n, k) -> CodeSpec:
+        return self._entry(n, k).spec
 
     def error(self, n, k) -> float:
-        try:
-            return self.entries[(int(n), int(k))].error
-        except KeyError:
-            raise KeyError(f"family has no entry for N={n}, K={k}") from None
+        return self._entry(n, k).error
 
     def to_json(self):
+        """Family as JSON; each code also keeps its batch breaks, which
+        `partially_stitched` interleaves, so a loaded family builds the same
+        codes as this one."""
         codes = {}
         for (n, k), ent in sorted(self.entries.items()):
             d = spec_to_json(ent.spec)
+            d["batch_breaks"] = ent.spec.sequence.batch_breaks.tolist()
             d["error"] = ent.error
             codes[f"{n},{k}"] = d
         return {"max_len": self.max_length,
@@ -157,12 +162,32 @@ class CodeFamily:
 
     @classmethod
     def from_json(cls, d):
+        """Inverse of `to_json`; a code without batch breaks derives them."""
         ch = ChannelModel(d["channel"]["kind"], float(d["channel"]["param"]))
         entries = {}
         for key, cd in d["codes"].items():
             n, k = (int(x) for x in key.split(","))
-            entries[(n, k)] = FamilyEntry(spec_from_json(cd), float(cd.get("error", np.nan)))
+            spec = spec_from_json(cd)
+            if "batch_breaks" in cd:
+                seq = spec.sequence
+                breaks = _checked_breaks(seq.pairs, cd["batch_breaks"])
+                spec = replace(spec, sequence=CouplingSequence(seq.n_code, seq.pairs, breaks))
+            entries[(n, k)] = FamilyEntry(spec, float(cd.get("error", np.nan)))
         return cls(int(d["max_len"]), ch, entries)
+
+
+def _checked_breaks(pairs, breaks):
+    """Loaded batch breaks, checked to run 0 = o_0 < ... < o_k = P and to
+    split the P pairs into runs that touch pairwise-disjoint indices."""
+    br = np.asarray(breaks, dtype=np.int64).reshape(-1)
+    p = pairs.shape[0]
+    if br.size == 0 or br[0] != 0 or br[-1] != p or (p and (np.diff(br) <= 0).any()):
+        raise ValueError(f"batch breaks must increase from 0 to {p}")
+    run = np.repeat(np.arange(br.size - 1), np.diff(br))
+    keys = np.concatenate([run, run]) * (pairs.max(initial=0) + 1) + pairs.T.reshape(-1)
+    if np.unique(keys).size != keys.size:
+        raise ValueError("a batch of pairs touches an index twice")
+    return br
 
 
 def save_family(family: CodeFamily, path):
@@ -505,18 +530,7 @@ def stitched_polarization_count(n, s, family: CodeFamily, channel: ChannelModel 
     """
     if channel is None:
         channel = family.channel
-    if channel.kind != "bec":
-        raise ValueError("polarization counting is defined over the BEC")
-    lo, hi = float(band[0]), float(band[1])
-    if not 0.0 < lo < hi < 1.0:
-        raise ValueError("band must satisfy 0 < a < b < 1")
     _, s_eff, _, _, lengths, _, seeds = _sub_blocks(n, s, family, channel)
-
-    def in_band(seq, stack):
-        z = evolve(seq, stack, "bec").values
-        cap = 1.0 - z
-        return np.sum((cap >= lo) & (cap <= hi), axis=-1)
-
     total = 0
     for ni in np.unique(lengths):
         ni = int(ni)
@@ -524,6 +538,7 @@ def stitched_polarization_count(n, s, family: CodeFamily, channel: ChannelModel 
         cands = [family.spec(ni, ki).sequence for ki in range(ni + 1)]
         if ni == 1 << s_eff:
             cands.insert(0, make_regular_sequence(s_eff))
-        counts = np.stack([in_band(sq, stack) for sq in cands])
+        counts = np.stack([count_unpolarized(evolve(sq, stack, channel.kind), band)[0]
+                           for sq in cands])
         total += int(counts.min(axis=0).sum())
     return total, total / int(n)

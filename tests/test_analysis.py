@@ -82,6 +82,16 @@ def test_min_distance_random(rng):
         spec = CodeSpec(CouplingSequence(n, pairs), info)
         ref = O.min_distance_ref(O.matrix_ref(pairs, n), info)
         assert min_distance(spec) == ref
+    # rate-matched baselines: the weight counts the kept columns only
+    from stitchpolar.reliability import build_baseline
+    for _ in range(12):
+        kind = ("qup", "brs")[int(rng.integers(2))]
+        n = int(rng.integers(2, 20))
+        k = int(rng.integers(1, min(n, 10) + 1))
+        spec = build_baseline(kind, n, k, ChannelModel("bec", 0.5))
+        full = O.matrix_ref([tuple(p) for p in spec.sequence.pairs], spec.n_code)
+        kept = spec.kept_positions() - 1
+        assert min_distance(spec) == O.min_distance_ref(full[:, kept], spec.info)
 
 
 def test_min_distance_edge_cases():

@@ -86,6 +86,8 @@ def test_encode_decode_cli(capsys, tmp_path, rng):
     assert code == 0
     rep = json.loads(text)
     assert rep["info_bits"] == [int(b) for b in msg]
+    # the transmitted positions, as encode wrote them, not the mother word
+    assert rep["codeword"] == bits
 
     code, text, _ = _run(capsys, "decode", "--code", str(spec_path),
                          "--llr", str(llr_path), "--list", "4", "--minsum")
@@ -109,6 +111,22 @@ def test_decode_error_path(capsys, tmp_path):
     rep = json.loads(err)
     assert rep["error"] == "ValueError"
     assert "expected 5 llrs" in rep["message"]
+
+
+def test_decode_rejects_list_below_one(capsys, tmp_path):
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text("1.0 -2.0 3.0 0.5 -1.5\n")
+    for size in ("0", "-4"):
+        code, out, err = _run(capsys, "decode", "--code", str(spec_path),
+                              "--llr", str(llr_path), "--list", size)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "ValueError"
+        assert "list size" in rep["message"]
 
 
 def test_decode_rejects_nan_llr(capsys, tmp_path):
@@ -277,6 +295,25 @@ def test_scaling_cli_stitched(capsys, tmp_path, fam8_path):
         cells = line.split(",")
         assert int(cells[1]) == (1 << m) + (1 << (m - 1))
         assert int(cells[2]) >= 0
+
+
+def test_scaling_cli_rejects_offset_outside_range(capsys, tmp_path):
+    for t in ("0", "5"):
+        code, out, err = _run(capsys, "scaling", "--scheme", "qup",
+                              "--m-range", "4:6", "--epsilon", "0.5",
+                              "--offset-t", t, "--out", str(tmp_path / "q.csv"))
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "ValueError"
+        assert "--offset-t" in rep["message"]
+    # the ends of 1..A are accepted
+    for t, n4 in (("1", 24), ("4", 17)):
+        out = tmp_path / f"q{t}.csv"
+        code, _, _ = _run(capsys, "scaling", "--scheme", "qup", "--m-range", "4:6",
+                          "--epsilon", "0.5", "--offset-t", t, "--out", str(out))
+        assert code == 0
+        assert int(out.read_text().splitlines()[1].split(",")[1]) == n4
 
 
 def test_cli_requires_subcommand():

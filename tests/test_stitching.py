@@ -11,7 +11,7 @@ from stitchpolar.decoding import sc_decode
 from stitchpolar.reliability import ChannelModel, channel_from_snr_db, profile_for
 from stitchpolar.analysis import count_unpolarized
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence, validate
-from stitchpolar.stitching import (allocate_rates, build_family,
+from stitchpolar.stitching import (CodeFamily, allocate_rates, build_family,
                                    load_family, partially_stitched, save_family,
                                    stitch_left, stitch_right,
                                    stitched_polarization_count, transform_count)
@@ -182,8 +182,36 @@ def test_family_round_trip(fam8, tmp_path):
     for key, ent in fam8.entries.items():
         other = back.entries[key]
         assert (other.spec.sequence.pairs == ent.spec.sequence.pairs).all()
+        assert (other.spec.sequence.batch_breaks == ent.spec.sequence.batch_breaks).all()
         assert other.spec.info == ent.spec.info
         assert other.error == pytest.approx(ent.error)
+    # the breaks fix how partially_stitched interleaves the block codes
+    fam = build_family(16)
+    path = tmp_path / "fam16.json"
+    save_family(fam, path)
+    got = [spec_to_json(partially_stitched(100, 50, 4, f)[0])
+           for f in (fam, load_family(path))]
+    assert got[0] == got[1]
+
+
+def test_family_json_batch_breaks_checked():
+    d = build_family(4).to_json()
+    old = json.loads(json.dumps(d))
+    for cd in old["codes"].values():
+        del cd["batch_breaks"]
+    # files written before the breaks were stored still load
+    assert (CodeFamily.from_json(old).spec(4, 2).sequence.pairs
+            == CodeFamily.from_json(d).spec(4, 2).sequence.pairs).all()
+    pairs = d["codes"]["4,2"]["pairs"]
+    p = len(pairs)
+    for bad in ([], [1, p], [0, p - 1], [0, 2, 2, p], [0, p, p], [p]):
+        d["codes"]["4,2"]["batch_breaks"] = bad
+        with pytest.raises(ValueError, match="batch breaks"):
+            CodeFamily.from_json(d)
+    # one run holding every pair touches some index twice
+    d["codes"]["4,2"]["batch_breaks"] = [0, p]
+    with pytest.raises(ValueError, match="touches an index twice"):
+        CodeFamily.from_json(d)
 
 
 def test_family_deterministic():
@@ -192,13 +220,17 @@ def test_family_deterministic():
     assert a.to_json() == b.to_json()
 
 
-# sha256 of json.dumps(build_family(16, channel).to_json(), sort_keys=True),
-# as the per-code search gave them before construction was batched
+# sha256 of json.dumps(build_family(16, channel).to_json(), sort_keys=True):
+# (codes without their batch breaks, as the per-code search gave them before
+# construction was batched; the whole JSON, batch breaks included)
 FAMILY16_SHA256 = {
-    "bec 0.5": "961834d2c06e07ed0b9bab788a4292887038ff476bc19f6b6b41cf052e502bcb",
-    "awgn 1dB": "3f0743012335f84cf8c107151066063531d325af34c7ccb9bbbb71f3e13947f3",
+    "bec 0.5": ("961834d2c06e07ed0b9bab788a4292887038ff476bc19f6b6b41cf052e502bcb",
+                "34403c2d740c65cc6a1904b1de9ef9f2f1a6efd4003a6411495d8bff66414570"),
+    "awgn 1dB": ("3f0743012335f84cf8c107151066063531d325af34c7ccb9bbbb71f3e13947f3",
+                 "abd23eb52923c14ccd1e05d7c5e1e1d62529646a14d388cc07d52bd76f11030d"),
     # every split of every K >= 1 has error 1: all take the fallback split
-    "bec 1.0": "1daf90703cadc4afcb1fdbd0d58426d15d5c8dfc6d88ef0dbf0f2f323c1fa4ec",
+    "bec 1.0": ("1daf90703cadc4afcb1fdbd0d58426d15d5c8dfc6d88ef0dbf0f2f323c1fa4ec",
+                "d4ef7c1f8f4adfb537f5648437f20bc5f5cc67576066ca9ee5db65d0e0eaff13"),
 }
 
 
@@ -208,8 +240,12 @@ FAMILY16_SHA256 = {
     ("bec 1.0", ChannelModel("bec", 1.0)),
 ])
 def test_family_pinned(name, channel):
-    text = json.dumps(build_family(16, channel).to_json(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY16_SHA256[name]
+    d = build_family(16, channel).to_json()
+    whole = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    for cd in d["codes"].values():
+        del cd["batch_breaks"]
+    codes = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert (codes, whole) == FAMILY16_SHA256[name]
 
 
 def test_build_family_rejects_bad_length():
