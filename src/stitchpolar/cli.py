@@ -109,14 +109,15 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     spec = load_spec(args.code)
     full = rm_llrs(spec, _read_llrs(args.llr))
+    k = spec.message_length  # the CRC parity that follows is not printed
     if args.list_size != 1:
         ranked, selected, crc_ok = scl_decode(spec, full, args.list_size, args.f_mode)
-        _emit({"paths": [{"info_bits": [int(b) for b in bits],
+        _emit({"paths": [{"info_bits": [int(b) for b in bits[:k]],
                           "metric": metric} for bits, metric in ranked],
                "selected": selected, "crc_ok": crc_ok})
     else:
         info_bits, x_hat = sc_decode(spec, full, args.f_mode)
-        _emit({"info_bits": [int(b) for b in info_bits],
+        _emit({"info_bits": [int(b) for b in info_bits[:k]],
                "codeword": [int(b) for b in x_hat[spec.kept_positions() - 1]]})
 
 

@@ -103,7 +103,8 @@ class CodeSpec:
     """A coupling sequence plus information set, optional CRC and rate match.
 
     ``info`` lists the 1-based input positions carrying message and CRC bits,
-    ascending; all other positions are frozen to zero.
+    ascending; all other positions are frozen to zero.  A shortened position
+    must be frozen, else StructuralError.
     """
 
     sequence: CouplingSequence
@@ -125,6 +126,8 @@ class CodeSpec:
             pat = self.rate_match.pattern
             if any(not 1 <= i <= n for i in pat):
                 raise ValueError("rate-match pattern out of range")
+            if self.rate_match.mode == "shorten" and not pat.isdisjoint(info):
+                raise StructuralError("shortening pattern must be frozen")
         object.__setattr__(self, "info", info)
 
     @property
@@ -206,17 +209,14 @@ def generator_matrix(seq: CouplingSequence):
 def rm_encode(spec: CodeSpec, info_bits):
     """Rate-matched codeword(s): mother encoding with pattern positions deleted.
 
-    Punctured positions are simply dropped.  Shortened positions must map to
-    frozen inputs and must encode to zero; either failure is a StructuralError
-    since it means the pattern does not have the shortening property for this
-    sequence.
+    Punctured positions are simply dropped.  Shortened positions are frozen
+    (`CodeSpec` checks that) and must encode to zero; a nonzero one is a
+    StructuralError, since the pattern then lacks the shortening property
+    for this sequence.
     """
     rm = spec.rate_match
     if rm is None:
         return encode(spec, info_bits)
-    if rm.mode == "shorten":
-        if not rm.pattern <= set(spec.frozen):
-            raise StructuralError("shortening pattern must be frozen")
     bits = np.asarray(info_bits)
     x = np.atleast_2d(encode(spec, bits))
     if rm.mode == "shorten":

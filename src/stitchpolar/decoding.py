@@ -37,16 +37,17 @@ per schedule, when a list decoder first asks).  Each information decision
 records (bit index, source rank, bit), and one backward traceback from the
 final ranking rebuilds the decided bits (frozen bits are 0 on all paths).
 Per chunk SCL holds about B * L * (8 R_s + R_h + 9 N + 9 K) bytes for K
-information bits: 77 kB per word for the stitched code with K = 160 and
-L = 8, so the SC-sized default chunk of 4096 needs 315 MB.
+information bits, with L capped at 2^K, the most paths there can be: 77 kB
+per word for the stitched code with K = 160 and L = 8, so the SC-sized
+default chunk of 4096 needs 315 MB.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -200,7 +201,6 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
             n_soft += 1
 
     have_soft = bytearray(d0)  # la | lb delivered
-    have_hard = bytearray(d0)  # ua | ub delivered
     queue = deque()
     ops = []
 
@@ -214,14 +214,9 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
             queue.append((_F, e))
 
     def deliver_u(reg):
-        if reg < 0:
-            return
-        have_hard[reg] = 1
-        e = reg % n_elem
-        if reg < n_elem:
-            queue.append((_G, e))
-        elif have_hard[e]:
-            queue.append((_XOR, e))
+        # ub comes after ua: it derives from the output of e's g, which waits for ua
+        if reg >= 0:
+            queue.append((_G if reg < n_elem else _XOR, reg % n_elem))
 
     for reg in sinks:
         deliver_llr(reg)
@@ -308,6 +303,14 @@ def f_minsum(la, lb):
 _F_RULES = {"exact": f_exact, "minsum": f_minsum}
 
 
+def _check_decoder(f_mode, list_size=1):
+    """Reject an unknown f rule or a list size that is not an integer >= 1."""
+    if f_mode not in _F_RULES:
+        raise ValueError(f"f_mode must be 'exact' or 'minsum', got {f_mode!r}")
+    if not isinstance(list_size, numbers.Integral) or list_size < 1:
+        raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
+
+
 def _decoder_llrs(spec: CodeSpec, llrs):
     """(B, N) float LLRs; NaN is rejected and +/-inf saturates to +/-LLR_SAT."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
@@ -330,18 +333,20 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
     (N, B, L) decision-LLR block of the soft file.  At list size 1 only,
     ``forced_u`` pins every decision to the given (B, N) bits (genie mode)
     and ``capture`` lists every op's output in schedule order as ``trace``.
+    The files have min(``list_size``, 2^K) path slots for K information bits.
     """
     f_rule = _F_RULES[f_mode]
     bsz, n = llrs.shape
     frozen = sched.frozen_mask
-    soft = np.empty((sched.n_soft, bsz, list_size))
-    hard = np.empty((sched.n_hard, bsz, list_size), dtype=np.uint8)
+    width = min(list_size, 1 << int(n - frozen.sum()))
+    soft = np.empty((sched.n_soft, bsz, width))
+    hard = np.empty((sched.n_hard, bsz, width), dtype=np.uint8)
     soft[sched.channel_sinks] = llrs.T[:, :, None]
     genie = forced_u is not None
     if list_size == 1:
         u = np.zeros((n, bsz, 1), dtype=np.uint8)
         if genie:
-            u[...] = np.atleast_2d(np.asarray(forced_u, dtype=np.uint8)).T[:, :, None]
+            u[...] = forced_u.T[:, :, None]
     else:
         live = sched.live
         batch = np.arange(bsz)[:, None]
@@ -376,7 +381,7 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
                 pen1 = np.where(l_i > 0, l_i, 0.0)
                 cand_pm = np.concatenate([pm + pen0, pm + pen1], axis=1)[
                     batch, np.concatenate([slot, slot + npath], axis=1)]
-                keep = min(2 * npath, list_size)
+                keep = min(2 * npath, width)
                 order = np.argsort(cand_pm, axis=1, kind="stable")[:, :keep]
                 src = order % npath
                 bits = (order >= npath).astype(np.uint8)
@@ -392,9 +397,9 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
                 free = np.argsort(taken, axis=1, kind="stable")
                 new = old.copy()
                 new[dup] = free[batch, np.cumsum(dup, axis=1) - 1][dup]
-                base = np.nonzero(dup)[0] * list_size
+                base = np.nonzero(dup)[0] * width
                 for regs, rows in zip((soft, hard), live[e]):
-                    flat = regs.reshape(len(regs), -1)
+                    flat = regs.reshape(len(regs), bsz * width)  # -1 fails at 0 rows
                     flat[rows[:, None], base + new[dup]] = flat[rows[:, None], base + old[dup]]
                 slot = np.empty_like(new)
                 slot[batch, by_slot] = new
@@ -429,7 +434,6 @@ class ScBatchResult:
     decision_llrs: np.ndarray  # (B, N)
     info_positions: np.ndarray
     sequence: CouplingSequence
-    op_outputs: Optional[list] = None
 
     @property
     def info_bits(self):
@@ -441,19 +445,26 @@ class ScBatchResult:
         return _apply_sequence(self.u_hat.copy(), self.sequence)
 
 
-def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None,
-                    capture=False) -> ScBatchResult:
-    """Run SC over a (B, N) LLR batch: the executor with a list of one.
-
-    ``forced_u`` pins every decision to the given bits instead of thresholding
-    (genie mode); decision LLRs are still recorded.  ``capture`` keeps each
-    op's numeric output for tracing.
-    """
-    u, _, dec, trace = _execute(schedule_for(spec), _decoder_llrs(spec, llrs),
-                                f_mode, forced_u=forced_u, capture=capture)
+def _sc_result(spec: CodeSpec, u, dec) -> ScBatchResult:
     # a copy, so that the result does not hold the whole soft file
     return ScBatchResult(u[:, 0], dec[:, :, 0].copy().T,
-                         np.asarray(spec.info, dtype=np.int64), spec.sequence, trace)
+                         np.asarray(spec.info, dtype=np.int64), spec.sequence)
+
+
+def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None) -> ScBatchResult:
+    """Run SC over a (B, N) LLR batch: the executor with a list of one.
+
+    ``forced_u`` pins every decision to the given (B, N) 0/1 bits instead of
+    thresholding (genie mode); decision LLRs are still recorded.
+    """
+    _check_decoder(f_mode)
+    llrs = _decoder_llrs(spec, llrs)
+    if forced_u is not None:
+        forced_u = np.atleast_2d(np.asarray(forced_u))
+        if forced_u.shape != llrs.shape or not np.isin(forced_u, (0, 1)).all():
+            raise ValueError(f"forced_u must be a {llrs.shape} array of 0/1 bits")
+    u, _, dec, _ = _execute(schedule_for(spec), llrs, f_mode, forced_u=forced_u)
+    return _sc_result(spec, u, dec)
 
 
 def sc_decode(spec: CodeSpec, llrs, f_mode="exact"):
@@ -464,10 +475,11 @@ def sc_decode(spec: CodeSpec, llrs, f_mode="exact"):
 
 def sc_trace(spec: CodeSpec, llrs, f_mode="exact"):
     """Single-word decode keeping every op output, for inspection."""
-    res = sc_decode_batch(spec, llrs, f_mode=f_mode, capture=True)
-    ops = schedule_for(spec).as_tuples()
-    outputs = [(op, float(v[0])) for op, v in zip(ops, res.op_outputs)]
-    return res, outputs
+    _check_decoder(f_mode)
+    sched = schedule_for(spec)
+    u, _, dec, trace = _execute(sched, _decoder_llrs(spec, llrs), f_mode, capture=True)
+    outputs = [(op, float(v[0])) for op, v in zip(sched.as_tuples(), trace)]
+    return _sc_result(spec, u, dec), outputs
 
 
 @dataclass
@@ -493,8 +505,7 @@ def scl_decode_batch(spec: CodeSpec, llrs, list_size, f_mode="exact") -> SclBatc
     else the metric-best.  The state layout and its memory are described in
     the module docstring.
     """
-    if list_size < 1:
-        raise ValueError("list size must be at least 1")
+    _check_decoder(f_mode, list_size)
     sched = schedule_for(spec)
     u, pm, dec, _ = _execute(sched, _decoder_llrs(spec, llrs), f_mode, list_size)
     if pm is None:

@@ -78,8 +78,6 @@ def _greedy_breaks(n_code, pairs):
         seen[a] = True
         seen[b] = True
     breaks.append(pairs.shape[0])
-    if breaks[-1] == breaks[-2] and len(breaks) > 2:
-        breaks.pop()
     return np.asarray(breaks, dtype=np.int64)
 
 

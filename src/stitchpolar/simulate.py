@@ -11,13 +11,15 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .codes import CodeSpec, rm_encode
-from .decoding import LLR_SAT, rm_llrs, sc_decode_batch, scl_decode_batch
+from .decoding import LLR_SAT, _check_decoder, rm_llrs, sc_decode_batch, scl_decode_batch
 from .reliability import ChannelModel, build_baseline, channel_from_snr_db
 from .stitching import CodeFamily, partially_stitched
 
@@ -78,11 +80,7 @@ class SimResult:
     seed: int
 
     def to_json(self):
-        return {"trials": self.trials, "errors": self.errors,
-                "bit_errors": self.bit_errors, "bler": self.bler,
-                "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "reliable": self.reliable, "seconds": self.seconds,
-                "seed": self.seed}
+        return asdict(self)
 
 
 def clopper_pearson(errors, trials, confidence=0.95):
@@ -124,36 +122,30 @@ def simulate_bler(cfg: SimConfig, workers=1) -> SimResult:
         raise ValueError("trial budget must be positive")
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_decoder(cfg.f_mode, cfg.list_size)
     w = int(workers)
     n_chunks = -(-target // cfg.chunk)
+
+    def counts(j):
+        take = min(cfg.chunk, target - j * cfg.chunk)
+        return (take, *_chunk_counts(cfg, j, take))
+
     t0 = time.perf_counter()
     total = errors = bit_errors = 0
-    stop = False
-    i = 0
-    pool = ThreadPoolExecutor(w) if w > 1 else None
-    try:
-        while i < n_chunks and not stop:
-            hi = min(i + w, n_chunks)
-            batch = [(j, min(cfg.chunk, target - j * cfg.chunk))
-                     for j in range(i, hi)]
-            if pool is None:
-                results = [_chunk_counts(cfg, j, t) for j, t in batch]
-            else:
-                results = list(pool.map(lambda jt: _chunk_counts(cfg, *jt), batch))
-            for (j, t), (be, bb) in zip(batch, results):
-                total += t
-                errors += be
-                bit_errors += bb
-                if cfg.trials is None and errors >= cfg.min_errors:
-                    stop = True
-                    break
-            i = hi
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    lo, hi_ci = clopper_pearson(errors, total)
+    with ThreadPoolExecutor(w) if w > 1 else nullcontext() as pool:
+        evaluate = map if pool is None else pool.map
+        # a wave starts only once the one before it is folded
+        waves = (evaluate(counts, range(i, min(i + w, n_chunks)))
+                 for i in range(0, n_chunks, w))
+        for take, be, bb in chain.from_iterable(waves):
+            total += take
+            errors += be
+            bit_errors += bb
+            if cfg.trials is None and errors >= cfg.min_errors:
+                break
+    lo, hi = clopper_pearson(errors, total)
     return SimResult(trials=total, errors=errors, bit_errors=bit_errors,
-                     bler=errors / total, ci_low=lo, ci_high=hi_ci,
+                     bler=errors / total, ci_low=lo, ci_high=hi,
                      reliable=errors >= 50,
                      seconds=time.perf_counter() - t0, seed=cfg.seed)
 

@@ -334,36 +334,23 @@ def allocate_rates(block_profiles, block_lengths, k, family: CodeFamily,
         if seed.shape != (ni,):
             raise ValueError("profile length must match block length")
 
-    # distinct (length, seed) pairs share one evolved p-table, evaluated for
-    # all seeds of a length class in a single batched pass per k
-    slot_of = {}
-    groups = {}
-    block_slot = []
-    for seed, ni in zip(seeds, lengths):
-        key = (ni, seed.tobytes())
-        if key not in slot_of:
-            slot_of[key] = len(groups.setdefault(ni, []))
-            groups[ni].append(seed)
-        block_slot.append((ni, slot_of[key]))
-
-    log_tables = {}
-    for ni, seed_list in groups.items():
-        stack = np.stack(seed_list)
-        p = np.ones((stack.shape[0], ni + 1))
+    # the blocks of one live length evolve together, one batched pass per k;
+    # each seed row evolves elementwise, so a block's table is its own
+    gains = [None] * len(lengths)
+    for ni in set(lengths):
+        blocks = [j for j, ln in enumerate(lengths) if ln == ni]
+        stack = np.stack([seeds[j] for j in blocks])
+        p = np.ones((len(blocks), ni + 1))
         for ki in range(1, ni + 1):
             sp = family.spec(ni, ki)
             p[:, ki] = _block_success(evolve(sp.sequence, stack, kind).pe, sp.info)
-        with np.errstate(divide="ignore"):
-            log_tables[ni] = np.log(p)
-
-    gains = []
-    for ni, slot in block_slot:
-        lp = log_tables[ni][slot]
-        with np.errstate(invalid="ignore"):
-            g = lp[1:] - lp[:-1]
-        g[lp[1:] == -np.inf] = -np.inf
-        g[(lp[:-1] == -np.inf) & (lp[1:] > -np.inf)] = np.inf
-        gains.append(g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = np.log(p)
+            g = lp[:, 1:] - lp[:, :-1]
+        g[lp[:, 1:] == -np.inf] = -np.inf
+        g[(lp[:, :-1] == -np.inf) & (lp[:, 1:] > -np.inf)] = np.inf
+        for j, row in zip(blocks, g):
+            gains[j] = row
 
     dims = [0] * len(lengths)
     heap = [(-g[0], j) for j, g in enumerate(gains) if lengths[j] >= 1]
@@ -496,11 +483,9 @@ def partially_stitched(n, k, s, family: CodeFamily, channel: ChannelModel = None
         for sp, sl, off in zip(specs, slice_lists, offsets):
             if j < len(sl):
                 a, b = sl[j]
-                if b > a:
-                    chunk.append(sp.sequence.pairs[a:b] + off)
-        if chunk:
-            batch = np.concatenate(chunk)
-            parts.append((batch, [0, batch.shape[0]]))
+                chunk.append(sp.sequence.pairs[a:b] + off)
+        batch = np.concatenate(chunk)
+        parts.append((batch, [0, batch.shape[0]]))
     for st in coarse:
         parts.append((rank[st], [0, st.shape[0]]))
     pairs, breaks = _concat_parts(parts)

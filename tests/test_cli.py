@@ -7,8 +7,9 @@ import pytest
 
 import vectors as V
 from stitchpolar.cli import main
-from stitchpolar.codes import load_spec
+from stitchpolar.codes import CodeSpec, CrcConfig, load_spec, spec_to_json
 from stitchpolar.reliability import channel_from_snr_db
+from stitchpolar.sequences import make_regular_sequence
 from stitchpolar.simulate import SimConfig, simulate_bler, snr_search
 from stitchpolar.stitching import load_family
 
@@ -96,6 +97,53 @@ def test_encode_decode_cli(capsys, tmp_path, rng):
     assert len(rep["paths"]) == 4
     sel = rep["selected"]
     assert rep["paths"][sel]["info_bits"] == [int(b) for b in msg]
+
+
+def test_encode_decode_cli_with_crc(capsys, tmp_path, rng):
+    """decode prints the message bits, not the CRC parity after them."""
+    spec = CodeSpec(make_regular_sequence(5), tuple(range(17, 33)),
+                    crc=CrcConfig((1, 0, 1, 1)))
+    spec_path = tmp_path / "crc.json"
+    spec_path.write_text(json.dumps(spec_to_json(spec)))
+    msg = [int(b) for b in rng.integers(0, 2, size=13)]
+    msg_path = tmp_path / "msg.txt"
+    msg_path.write_text("\n".join(map(str, msg)) + "\n")
+    cw_path = tmp_path / "cw.txt"
+    code, _, _ = _run(capsys, "encode", "--code", str(spec_path),
+                      "--in", str(msg_path), "--out", str(cw_path))
+    assert code == 0
+    bits = [int(t) for t in cw_path.read_text().split()]
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text("\n".join(str(8.0 * (1 - 2 * b)) for b in bits) + "\n")
+    code, text, _ = _run(capsys, "decode", "--code", str(spec_path),
+                         "--llr", str(llr_path))
+    assert code == 0
+    assert json.loads(text)["info_bits"] == msg
+    code, text, _ = _run(capsys, "decode", "--code", str(spec_path),
+                         "--llr", str(llr_path), "--list", "4")
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["crc_ok"]
+    assert all(len(p["info_bits"]) == 13 for p in rep["paths"])
+    assert rep["paths"][rep["selected"]]["info_bits"] == msg
+
+
+def test_decode_rejects_shortened_info_position(capsys, tmp_path):
+    """A shortened position carrying information fails on load, as in simulate."""
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps({
+        "n": 4, "pairs": make_regular_sequence(2).pairs.tolist(),
+        "info": [1, 2, 3], "rate_match": {"mode": "shorten", "pattern": [1]}}))
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text("1.0 2.0 3.0\n")
+    for extra in ((), ("--list", "4")):
+        code, out, err = _run(capsys, "decode", "--code", str(spec_path),
+                              "--llr", str(llr_path), *extra)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "StructuralError"
+        assert "must be frozen" in rep["message"]
 
 
 def test_decode_error_path(capsys, tmp_path):

@@ -141,9 +141,8 @@ def test_shorten_pattern_positions_encode_to_zero(rng):
 
 def test_shorten_misuse_raises():
     seq = make_regular_sequence(2)
-    bad = CodeSpec(seq, (1, 2, 3), rate_match=RateMatch("shorten", frozenset({1})))
-    with pytest.raises(StructuralError):
-        rm_encode(bad, np.zeros(3, dtype=np.uint8))
+    with pytest.raises(StructuralError, match="frozen"):
+        CodeSpec(seq, (1, 2, 3), rate_match=RateMatch("shorten", frozenset({1})))
 
 
 def test_spec_json_round_trip():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,63 @@ def test_decision_llrs_match_posterior_oracle(rng):
             assert res.decision_llrs[0] == pytest.approx(want, rel=1e-9), (pairs, info)
             checked += n
     assert checked > 100
+
+
+def test_decoders_reject_unknown_f_rule(rng):
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    llrs = rng.normal(size=(2, 5))
+    for call in (lambda: sc_decode_batch(spec, llrs, f_mode="exactt"),
+                 lambda: scl_decode_batch(spec, llrs, 4, f_mode="exactt"),
+                 lambda: sc_trace(spec, llrs[0], f_mode="exactt")):
+        with pytest.raises(ValueError, match="'exact' or 'minsum'"):
+            call()
+
+
+def test_list_size_must_be_integer(rng):
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    llrs = rng.normal(size=(3, 5))
+    for size in (2.0, 2.5, "2", 0, -1):
+        with pytest.raises(ValueError, match="list size"):
+            scl_decode_batch(spec, llrs, size)
+    got, want = scl_decode_batch(spec, llrs, np.int64(2)), scl_decode_batch(spec, llrs, 2)
+    assert (got.info_bits == want.info_bits).all()
+    assert np.array_equal(got.metrics, want.metrics)
+
+
+def test_forced_u_must_be_bits(rng):
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    llrs = rng.normal(size=(1, 5))
+    for bad in ([[2, 2, 2, 2, 2]], [[0, 1, 0.5, 1, 0]], [[0, 1, 0, 1]],
+                np.zeros((2, 5), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="forced_u"):
+            sc_decode_batch(spec, llrs, forced_u=bad)
+    u = np.array([1, 0, 1, 1, 0])
+    assert (sc_decode_batch(spec, llrs, forced_u=u).u_hat == u).all()
+
+
+def test_scl_path_slots_capped_at_two_to_k(rng):
+    """A list above 2^K decodes as the full list, in 2^K path slots."""
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    llrs = rng.normal(size=(4, 5)) * 2
+    want = scl_decode_batch(spec, llrs, 4)
+    scl_decode_batch(spec, llrs, 1 << 16)  # compiles and caches the schedule
+    tracemalloc.start()
+    try:
+        got = scl_decode_batch(spec, llrs, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.info_bits == want.info_bits).all()
+    assert np.array_equal(got.metrics, want.metrics)
+    assert (got.selected == want.selected).all()
+    assert peak < 64 * 1024
+
+
+def test_scl_on_codes_without_pairs(rng):
+    """With no pairs there are no hard rows, and list decoding still runs."""
+    for n, info in ((1, (1,)), (3, (1, 3))):
+        spec = CodeSpec(CouplingSequence(n, np.zeros((0, 2), dtype=np.int64)), info)
+        llrs = rng.normal(size=(4, n))
+        res = scl_decode_batch(spec, llrs, 4)
+        # uncoded bits: the best path is the hard decision on each info bit
+        assert (res.chosen_bits == (llrs[:, np.asarray(info) - 1] < 0)).all()

@@ -6,6 +6,7 @@ from scipy.stats import beta
 
 import oracles as O
 import vectors as V
+from stitchpolar import simulate as simulate_module
 from stitchpolar.codes import CodeSpec, CrcConfig, encode
 from stitchpolar.decoding import LLR_SAT, compile_schedule, sc_decode_batch
 from stitchpolar.reliability import (ChannelModel, build_baseline,
@@ -227,3 +228,41 @@ def test_sweep_lengths_smoke(fam8):
     with pytest.raises(ValueError):
         sweep_lengths(0.5, [8], ["nope"], 0.13, (0.1, 0.9), family=fam8,
                       channel_kind="bec")
+
+
+def test_simulate_rejects_bad_decoder_config(monkeypatch):
+    """An unknown f rule or a non-integer list size fails before any chunk."""
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(simulate_module, "_chunk_counts", no_chunk)
+    spec = _ex5_spec()
+    chan = ChannelModel("bec", 0.5)
+    for kw in ({"f_mode": "exactt"}, {"list_size": 2.5}, {"list_size": 1.0}):
+        with pytest.raises(ValueError, match="f_mode|list size"):
+            simulate_bler(SimConfig(spec, chan, trials=64, chunk=64, **kw))
+
+
+def test_simulate_starts_no_wave_after_stop(monkeypatch):
+    """With several workers the run ends with the wave that holds the stop."""
+    calls = []
+    counts = simulate_module._chunk_counts
+
+    def counted(cfg, index, take):
+        calls.append(index)
+        return counts(cfg, index, take)
+
+    monkeypatch.setattr(simulate_module, "_chunk_counts", counted)
+    cfg = SimConfig(_ex5_spec(), ChannelModel("bec", 0.5), seed=2,
+                    max_trials=50_000, min_errors=40, chunk=256)
+    base = simulate_bler(cfg, workers=1)
+    used = base.trials // 256
+    assert base.trials < 50_000 and sorted(calls) == list(range(used))
+    for w in (2, 3):
+        calls.clear()
+        other = simulate_bler(cfg, workers=w)
+        assert (other.trials, other.errors, other.bit_errors) == \
+            (base.trials, base.errors, base.bit_errors)
+        # the stop's wave may finish (or cancel) its other chunks; no later wave starts
+        assert set(range(used)) <= set(calls)
+        assert max(calls) < -(-used // w) * w
