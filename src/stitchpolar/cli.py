@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -335,9 +336,23 @@ def build_parser():
     return p
 
 
+def _attach_negative_values(argv):
+    """``--bracket -1:2`` as ``--bracket=-1:2``: argparse takes a token that
+    starts with '-' for an option unless it is a plain number, and no option
+    here starts with '-' and a digit."""
+    out = []
+    for tok in argv:
+        if (out and re.match(r"-[\d.]", tok) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
     except Exception as exc:  # structured failure for scripting

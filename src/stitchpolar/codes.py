@@ -206,23 +206,35 @@ def generator_matrix(seq: CouplingSequence):
     return _apply_sequence(g, seq)
 
 
+@lru_cache(maxsize=128)
+def _check_shortening(spec: CodeSpec):
+    """Raise StructuralError unless every message encodes to zero at the
+    shortened positions.  Encoding is linear and frozen inputs are zero, so
+    it suffices that the generator rows of the information positions are."""
+    info = np.asarray(spec.info, dtype=np.int64) - 1
+    rows = np.zeros((info.size, spec.n_code), dtype=np.uint8)
+    rows[np.arange(info.size), info] = 1
+    _apply_sequence(rows, spec.sequence)
+    pat = np.asarray(sorted(spec.rate_match.pattern), dtype=np.int64) - 1
+    if rows[:, pat].any():
+        raise StructuralError("shortened positions are not zero")
+
+
 def rm_encode(spec: CodeSpec, info_bits):
     """Rate-matched codeword(s): mother encoding with pattern positions deleted.
 
     Punctured positions are simply dropped.  Shortened positions are frozen
-    (`CodeSpec` checks that) and must encode to zero; a nonzero one is a
-    StructuralError, since the pattern then lacks the shortening property
-    for this sequence.
+    (`CodeSpec` checks that) and must encode to zero for every message; the
+    first encode of a spec checks that once, and a pattern without this
+    shortening property for the sequence is a StructuralError.
     """
     rm = spec.rate_match
     if rm is None:
         return encode(spec, info_bits)
+    if rm.mode == "shorten":
+        _check_shortening(spec)
     bits = np.asarray(info_bits)
     x = np.atleast_2d(encode(spec, bits))
-    if rm.mode == "shorten":
-        pat = np.asarray(sorted(rm.pattern), dtype=np.int64) - 1
-        if x[:, pat].any():
-            raise StructuralError("shortened positions are not zero")
     kept = spec.kept_positions() - 1
     out = x[:, kept]
     return out[0] if bits.ndim == 1 else out

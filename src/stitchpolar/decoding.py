@@ -5,8 +5,24 @@ element owns two LLR registers (a side, b side) and two hard registers.  A
 schedule is the event-driven firing order: channel LLRs enter at each index's
 last element, f results travel toward the decision end of the a chain, g
 results toward the decision end of the b chain, decisions and partial sums
-travel back toward the channel.  The order is computed once per code and
-reused.
+travel back toward the channel.
+
+A schedule is compiled in three stages, once per code:
+  1. the op order over register numbers, which depends on the sequence only
+     (``_op_order``);
+  2. for callers that read only the decided bits, a dead-op pass
+     (``_prune``): Rate-0 pruning (Alamdar-Yazdi & Kschischang, IEEE Comm.
+     Lett. 2011) on coupling sequences.  Every decision stays, since a frozen
+     one still writes its 0, and an f/g/xor stays only if its value reaches
+     an information decision.  At (320,160) it keeps 789/949/725 of the 1044
+     f/g/xor of the stitched code, 1105/1457/1793 of the 2304 of the QUP code
+     and 1291/1259/1153 of the BRS code's;
+  3. row allocation by linear scan over the final list (``_allocate``).
+``sc_decode``, ``sc_decode_batch(..., decision_llrs=False)`` and therefore
+SC simulation chunks and the ``decode`` command at list size 1 run the
+pruned schedule.  ``schedule_for``, genie mode, ``sc_trace`` and list
+decoding (L = 1 included, whose metric adds the frozen decisions' LLRs) run
+the full one, whose decision LLRs are all computed.
 
 One executor runs every schedule: SC is SCL with a list of one.  Its state is
 register-major, a soft file and a hard file, each (rows, B, L) for B words
@@ -21,13 +37,17 @@ and ub.  Every register is written before it is read, so nothing is zeroed.
 R_s / R_h are 620 / 320 for the (320,160) stitched code (P = 1044 pairs),
 1022 / 512 for the 512-mother QUP and BRS codes of that size (P = 2304), and
 2N - 2 / N for a regular code of length N = 2^m: the 2N - 1 LLRs of
-semi-parallel SC with the decision buffers apart.
+semi-parallel SC with the decision buffers apart.  Pruned, they are 560 /
+149 for the stitched code, 768 / 256 for QUP and 960 / 256 for BRS.
 
 With L = 1 a decision is a threshold written in place into an (N, B) bit
 file, and nothing else is kept; the re-encoded codeword is one encode of the
 decided bits, made when asked for.  Per chunk SC holds about
 B * (8 R_s + R_h + 9 N) bytes: 33 MB for 4096 words of the stitched code,
-54 MB for the QUP code and 436 MB for a regular code at N = 4096.
+54 MB for the QUP code and 436 MB for a regular code at N = 4096.  With the
+pruned rows that is 31 MB for the stitched code, 45 MB for QUP and 51 MB for
+BRS, less the pages of the frozen decision buffers: the pruned schedule
+writes none of them, save where a channel LLR enters one directly.
 
 With L > 1 ranked paths map to path slots through a (B, npath) table, and
 metrics are kept in slot order.  At an information decision a source slot
@@ -71,7 +91,7 @@ _F, _G, _XOR, _DEC = 0, 1, 2, 3
 class DecodeSchedule:
     """Compiled op order and register allocation for one sequence and frozen set."""
 
-    def __init__(self, seq, frozen_mask, ops, channel_sinks, n_soft, n_hard):
+    def __init__(self, seq, frozen_mask, ops, channel_sinks, n_soft, n_hard, pruned=False):
         self.seq = seq
         self.n_code = seq.n_code
         self.frozen_mask = frozen_mask
@@ -81,6 +101,9 @@ class DecodeSchedule:
         self.channel_sinks = channel_sinks
         self.n_soft = n_soft  # soft file rows: N decision buffers, then la | lb
         self.n_hard = n_hard
+        # ops whose values reach only frozen decisions are left out, so the
+        # frozen decision buffers hold no LLRs and list decoding cannot run it
+        self.pruned = pruned
 
     def __len__(self):
         return len(self.ops)
@@ -110,6 +133,8 @@ class DecodeSchedule:
         marked.  Only list decoding reads this; threads that race on the
         first read compute the same value.
         """
+        if self.pruned:
+            raise ValueError("list decoding needs the full schedule")
         soft = bytearray(self.n_soft)
         hard = bytearray(self.n_hard)
         soft_view = np.frombuffer(soft, dtype=bool)
@@ -137,23 +162,20 @@ class DecodeSchedule:
         return out
 
 
-def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
-    """Event-driven decode order and register rows for a valid sequence.
+def _op_order(seq: CouplingSequence):
+    """Stage 1: the event-driven op order over register numbers.
 
     Channel LLRs are delivered in index order; each message fires at most one
     op, and ready ops run first come first served.  The result interleaves
     the per-index chains exactly as the serial decoder must: 3n + N ops, each
-    f/g/xor once per element and one decision per index.
+    f/g/xor once per element and one decision per index.  The order does not
+    depend on the frozen set.
 
-    Rows are allocated by linear scan as the ops are emitted.  Registers die
-    where the graph says: la and lb at their g, ua and ub at their xor, so a
-    free list suffices and the last row freed is the first reused.  A
-    channel-seeded la or lb gets a row before the first op and keeps it to
-    its g; the N decision buffers are pinned to soft rows 0..N-1.  f's output
-    takes a free row, or a new one.  g's output overwrites lb's row, unless
-    it goes to a decision buffer, and xor works in place (the a side's sum
-    over ua, the b side's value left in ub).  Both are elementwise, so no op
-    reads a value it has overwritten, and only f and the decisions take rows.
+    Registers are numbered la e -> e, lb e -> P + e, decision buffer j ->
+    2P + j (soft) and ua e -> e, ub e -> P + e (hard); an op is the tuple of
+    the schedule format with register numbers in place of rows.  Returns the
+    ops and the soft register where each index's channel LLR enters: its last
+    element, or its decision buffer when no pair touches it.
     """
     res = validate(seq)
     if not res.valid:
@@ -161,17 +183,11 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
     n_code = seq.n_code
     pairs = seq.pairs.tolist()
     n_elem = len(pairs)
-    d0 = 2 * n_elem  # register number of the first decision buffer
+    d0 = 2 * n_elem
 
-    frozen_mask = np.zeros(n_code, dtype=bool)
-    for i in frozen:
-        frozen_mask[i - 1] = True
-
-    # Registers are numbered la e -> e, lb e -> P + e, dec j -> 2P + j (soft)
-    # and ua e -> e, ub e -> P + e (hard).  chains[j]: the registers of index
-    # j's chain in listed order.  up[r] and down[r]: the next register toward
-    # the decision end (j's decision buffer at the head) and toward the
-    # channel end (-1 at the tail).
+    # chains[j]: the registers of index j's chain in listed order.  up[r] and
+    # down[r]: the next register toward the decision end (j's decision buffer
+    # at the head) and toward the channel end (-1 at the tail).
     chains = [[] for _ in range(n_code)]
     for e, (a, b) in enumerate(pairs):
         chains[a - 1].append(e)
@@ -182,23 +198,7 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
         for r, r_up, r_down in zip(ch, [d0 + j] + ch, ch[1:] + [-1]):
             up[r] = r_up
             down[r] = r_down
-
-    soft_rows = [-1] * d0  # the row each la | lb (ua | ub) register was placed in
-    hard_rows = [-1] * d0
-    free_soft = []
-    free_hard = []
-    n_soft = n_code
-    n_hard = 0
-
-    sinks = [ch[-1] if ch else d0 + j for j, ch in enumerate(chains)]
-    channel_sinks = []
-    for reg in sinks:
-        if reg >= d0:
-            channel_sinks.append(reg - d0)
-        else:
-            soft_rows[reg] = n_soft
-            channel_sinks.append(n_soft)
-            n_soft += 1
+    sinks = tuple(ch[-1] if ch else d0 + j for j, ch in enumerate(chains))
 
     have_soft = bytearray(d0)  # la | lb delivered
     queue = deque()
@@ -224,66 +224,188 @@ def compile_schedule(seq: CouplingSequence, frozen) -> DecodeSchedule:
     while queue:
         kind, e = queue.popleft()
         if kind == _F:
-            reg = up[e]
-            if reg >= d0:
-                dst = reg - d0
-            elif free_soft:
-                dst = soft_rows[reg] = free_soft.pop()
-            else:
-                dst = soft_rows[reg] = n_soft
-                n_soft += 1
-            ops.append((_F, e, soft_rows[e], soft_rows[n_elem + e], -1, -1, dst, -1))
-            deliver_llr(reg)
+            ops.append((_F, e, e, n_elem + e, -1, -1, up[e], -1))
+            deliver_llr(up[e])
         elif kind == _G:
             reg = up[n_elem + e]
-            la, lb = soft_rows[e], soft_rows[n_elem + e]
-            free_soft.append(la)
-            if reg >= d0:
-                dst = reg - d0
-                free_soft.append(lb)
-            else:
-                dst = soft_rows[reg] = lb
-            ops.append((_G, e, la, lb, hard_rows[e], -1, dst, -1))
+            ops.append((_G, e, e, n_elem + e, e, -1, reg, -1))
             deliver_llr(reg)
         elif kind == _DEC:
             reg = chains[e][0] if chains[e] else -1
-            if reg < 0:
-                dst = -1
-            elif free_hard:
-                dst = hard_rows[reg] = free_hard.pop()
-            else:
-                dst = hard_rows[reg] = n_hard
-                n_hard += 1
-            ops.append((_DEC, e, e, -1, -1, -1, dst, -1))
+            ops.append((_DEC, e, d0 + e, -1, -1, -1, reg, -1))
             deliver_u(reg)
         else:
             reg, reg_b = down[e], down[n_elem + e]
-            ua, ub = hard_rows[e], hard_rows[n_elem + e]
-            dst = dst_b = -1
-            if reg >= 0:
-                dst = hard_rows[reg] = ua
-            else:
-                free_hard.append(ua)
-            if reg_b >= 0:
-                dst_b = hard_rows[reg_b] = ub
-            else:
-                free_hard.append(ub)
-            ops.append((_XOR, e, -1, -1, ua, ub, dst, dst_b))
+            ops.append((_XOR, e, -1, -1, e, n_elem + e, reg, reg_b))
             deliver_u(reg)
             deliver_u(reg_b)
 
     if len(ops) != 3 * n_elem + n_code:
         raise ValueError("schedule stalled; sequence has a dependency cycle")
-    return DecodeSchedule(seq, frozen_mask, ops, np.asarray(channel_sinks, dtype=np.int64),
-                          n_soft, n_hard)
+    return ops, sinks
+
+
+def _prune(ops, frozen_mask):
+    """Stage 2: drop every op whose value reaches only frozen decisions.
+
+    One backward liveness sweep.  Every decision is kept, since a frozen one
+    still writes its 0, but only an information decision reads its LLR.  An
+    f/g/xor is kept if a kept op reads its output; an xor's output is its a
+    side, because its b side is ub passed on unchanged.  A dropped xor whose
+    b side is read hands ub on by renaming, and a hard output nobody reads
+    becomes -1.
+    """
+    soft = bytearray(len(ops))  # live flags; the 2P + N registers are fewer than the ops
+    hard = bytearray(len(ops))
+    alias = {}
+    kept = []
+    for op in reversed(ops):
+        kind, e, la, lb, ua, ub, dst, dst_b = op
+        if kind == _F:
+            if not soft[dst]:
+                continue
+            soft[la] = soft[lb] = 1
+        elif kind == _G:
+            if not soft[dst]:
+                continue
+            soft[la] = soft[lb] = hard[ua] = 1
+        elif kind == _XOR:
+            b_live = dst_b >= 0 and hard[dst_b]
+            if dst < 0 or not hard[dst]:
+                if b_live:
+                    alias[dst_b] = ub
+                    hard[ub] = 1
+                continue
+            hard[ua] = hard[ub] = 1
+            if not b_live:
+                op = (_XOR, e, -1, -1, ua, ub, dst, -1)
+        else:
+            if not frozen_mask[e]:
+                soft[la] = 1
+            if dst >= 0 and not hard[dst]:
+                op = (_DEC, e, la, -1, -1, -1, -1, -1)
+        kept.append(op)
+
+    def name(reg):
+        while reg in alias:
+            reg = alias[reg]
+        return reg
+
+    out = []
+    for op in reversed(kept):
+        kind, e, la, lb, ua, ub, dst, dst_b = op
+        if kind == _G or kind == _XOR:
+            op = (kind, e, la, lb, name(ua), name(ub), dst, dst_b)
+        out.append(op)
+    return out
+
+
+def _allocate(n_code, n_elem, ops, sinks):
+    """Stage 3: rows by linear scan over the final op list.
+
+    A register dies at its last read, so a free list suffices and the last
+    row freed is the first reused.  A channel-seeded la or lb gets a row
+    before the first op, and one that no op reads goes straight back to the
+    free list; the N decision buffers are pinned to soft rows 0..N-1.  f's
+    output takes a free row, or a new one.  g's output overwrites lb's row,
+    unless it goes to a decision buffer, and xor works in place (the a side's
+    sum over ua, the b side's value left in ub).  Both are elementwise, so no
+    op reads a value it has overwritten.  In the full list la and lb die at
+    their g and ua and ub at their xor; pruning can end la and lb at their f
+    and ua at its g instead.  Each op is replaced in place by its row-level
+    form, so the two lists never coexist.
+    """
+    d0 = 2 * n_elem
+    last_soft = [-1] * d0  # the index of the op that last reads a register
+    last_hard = [-1] * d0
+    for i, (kind, e, la, lb, ua, ub, dst, dst_b) in enumerate(ops):
+        if kind == _F:
+            last_soft[la] = last_soft[lb] = i
+        elif kind == _G:
+            last_soft[la] = last_soft[lb] = last_hard[ua] = i
+        elif kind == _XOR:
+            last_hard[ua] = last_hard[ub] = i
+    soft_rows = [-1] * d0 + list(range(n_code))  # the row each register was placed in
+    hard_rows = [-1] * d0
+    free_soft = []
+    free_hard = []
+    n_soft = n_code
+    n_hard = 0
+
+    for reg in sinks:
+        if reg < d0:
+            soft_rows[reg] = n_soft
+            n_soft += 1
+    channel_sinks = np.asarray([soft_rows[reg] for reg in sinks], dtype=np.int64)
+    free_soft += [soft_rows[reg] for reg in sinks if reg < d0 and last_soft[reg] < 0]
+
+    for i, (kind, e, la, lb, ua, ub, dst, dst_b) in enumerate(ops):
+        if kind == _F:
+            ra, rb = soft_rows[la], soft_rows[lb]
+            free_soft += [r for r, reg in ((ra, la), (rb, lb)) if last_soft[reg] == i]
+            if dst < d0:
+                if free_soft:
+                    soft_rows[dst] = free_soft.pop()
+                else:
+                    soft_rows[dst] = n_soft
+                    n_soft += 1
+            ops[i] = (_F, e, ra, rb, -1, -1, soft_rows[dst], -1)
+        elif kind == _G:
+            ra, rb, rua = soft_rows[la], soft_rows[lb], hard_rows[ua]
+            free_soft.append(ra)
+            if dst >= d0:
+                free_soft.append(rb)
+            else:
+                soft_rows[dst] = rb
+            if last_hard[ua] == i:
+                free_hard.append(rua)
+            ops[i] = (_G, e, ra, rb, rua, -1, soft_rows[dst], -1)
+        elif kind == _DEC:
+            row = -1
+            if dst >= 0:
+                if free_hard:
+                    row = free_hard.pop()
+                else:
+                    row = n_hard
+                    n_hard += 1
+                hard_rows[dst] = row
+            ops[i] = (_DEC, e, e, -1, -1, -1, row, -1)
+        else:
+            rua, rub = hard_rows[ua], hard_rows[ub]
+            row = row_b = -1
+            if dst >= 0:
+                row = hard_rows[dst] = rua
+            else:
+                free_hard.append(rua)
+            if dst_b >= 0:
+                row_b = hard_rows[dst_b] = rub
+            else:
+                free_hard.append(rub)
+            ops[i] = (_XOR, e, -1, -1, rua, rub, row, row_b)
+    return ops, channel_sinks, n_soft, n_hard
+
+
+def compile_schedule(seq: CouplingSequence, frozen, pruned=False) -> DecodeSchedule:
+    """Decode order and register rows for a valid sequence, in three stages:
+    the op order (``_op_order``), with ``pruned`` the dead-op pass
+    (``_prune``), then the row allocation (``_allocate``)."""
+    frozen_mask = np.zeros(seq.n_code, dtype=bool)
+    for i in frozen:
+        frozen_mask[i - 1] = True
+    ops, sinks = _op_order(seq)
+    if pruned:
+        ops = _prune(ops, frozen_mask)
+    ops, channel_sinks, n_soft, n_hard = _allocate(seq.n_code, len(seq), ops, sinks)
+    return DecodeSchedule(seq, frozen_mask, ops, channel_sinks, n_soft, n_hard, pruned)
 
 
 @lru_cache(maxsize=128)
-def _cached_schedule(seq: CouplingSequence, frozen: tuple) -> DecodeSchedule:
-    return compile_schedule(seq, frozen)
+def _cached_schedule(seq: CouplingSequence, frozen: tuple, pruned=False) -> DecodeSchedule:
+    return compile_schedule(seq, frozen, pruned)
 
 
 def schedule_for(spec: CodeSpec) -> DecodeSchedule:
+    """The full schedule of a code, which every decoder output can use."""
     return _cached_schedule(spec.sequence, spec.frozen)
 
 
@@ -330,7 +452,8 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
     Returns (u, metrics, dec, trace).  ``u`` is (B, S, N): the decided bits
     of the S surviving paths, best metric first.  ``metrics`` is their (B, S)
     path metrics, or None at list size 1, which keeps none.  ``dec`` is the
-    (N, B, L) decision-LLR block of the soft file.  At list size 1 only,
+    (N, B, L) decision-LLR block of the soft file; a pruned schedule leaves
+    its frozen rows unwritten.  At list size 1 only,
     ``forced_u`` pins every decision to the given (B, N) bits (genie mode)
     and ``capture`` lists every op's output in schedule order as ``trace``.
     The files have min(``list_size``, 2^K) path slots for K information bits.
@@ -431,7 +554,7 @@ def _execute(sched: DecodeSchedule, llrs, f_mode, list_size=1, forced_u=None,
 @dataclass
 class ScBatchResult:
     u_hat: np.ndarray          # (B, N) input-word estimates
-    decision_llrs: np.ndarray  # (B, N)
+    decision_llrs: np.ndarray  # (B, N), or None when the decode was pruned
     info_positions: np.ndarray
     sequence: CouplingSequence
 
@@ -447,29 +570,37 @@ class ScBatchResult:
 
 def _sc_result(spec: CodeSpec, u, dec) -> ScBatchResult:
     # a copy, so that the result does not hold the whole soft file
-    return ScBatchResult(u[:, 0], dec[:, :, 0].copy().T,
-                         np.asarray(spec.info, dtype=np.int64), spec.sequence)
+    llrs = None if dec is None else dec[:, :, 0].copy().T
+    return ScBatchResult(u[:, 0], llrs, np.asarray(spec.info, dtype=np.int64),
+                         spec.sequence)
 
 
-def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None) -> ScBatchResult:
+def sc_decode_batch(spec: CodeSpec, llrs, f_mode="exact", forced_u=None, *,
+                    decision_llrs=True) -> ScBatchResult:
     """Run SC over a (B, N) LLR batch: the executor with a list of one.
 
     ``forced_u`` pins every decision to the given (B, N) 0/1 bits instead of
-    thresholding (genie mode); decision LLRs are still recorded.
+    thresholding (genie mode); decision LLRs are still recorded.  With
+    ``decision_llrs=False`` the pruned schedule runs instead: the same bits
+    from fewer ops, and the result's ``decision_llrs`` is None.  Genie mode
+    exists for its decision LLRs, so it cannot be pruned.
     """
     _check_decoder(f_mode)
     llrs = _decoder_llrs(spec, llrs)
     if forced_u is not None:
+        if not decision_llrs:
+            raise ValueError("forced_u needs decision_llrs=True")
         forced_u = np.atleast_2d(np.asarray(forced_u))
         if forced_u.shape != llrs.shape or not np.isin(forced_u, (0, 1)).all():
             raise ValueError(f"forced_u must be a {llrs.shape} array of 0/1 bits")
-    u, _, dec, _ = _execute(schedule_for(spec), llrs, f_mode, forced_u=forced_u)
-    return _sc_result(spec, u, dec)
+    sched = _cached_schedule(spec.sequence, spec.frozen, not decision_llrs)
+    u, _, dec, _ = _execute(sched, llrs, f_mode, forced_u=forced_u)
+    return _sc_result(spec, u, dec if decision_llrs else None)
 
 
 def sc_decode(spec: CodeSpec, llrs, f_mode="exact"):
     """Decode one word; returns (info-bit estimates, re-encoded codeword)."""
-    res = sc_decode_batch(spec, llrs, f_mode=f_mode)
+    res = sc_decode_batch(spec, llrs, f_mode=f_mode, decision_llrs=False)
     return res.info_bits[0], res.x_hat[0]
 
 

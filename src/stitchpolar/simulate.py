@@ -9,6 +9,7 @@ the outcome is therefore identical for any number of workers.
 from __future__ import annotations
 
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -101,7 +102,8 @@ def _chunk_counts(cfg: SimConfig, index, take):
     x = rm_encode(cfg.spec, msg)
     llr = rm_llrs(cfg.spec, channel_transmit(x, cfg.channel, rng))
     if cfg.list_size == 1:
-        dec = sc_decode_batch(cfg.spec, llr, f_mode=cfg.f_mode).info_bits
+        dec = sc_decode_batch(cfg.spec, llr, f_mode=cfg.f_mode,
+                              decision_llrs=False).info_bits
     else:
         dec = scl_decode_batch(cfg.spec, llr, cfg.list_size,
                                f_mode=cfg.f_mode).chosen_bits
@@ -112,8 +114,10 @@ def _chunk_counts(cfg: SimConfig, index, take):
 def simulate_bler(cfg: SimConfig, workers=1) -> SimResult:
     """Estimate block and bit error rates for one configuration.
 
-    Chunks are evaluated in waves of `workers` and folded in index order, so
-    the counts are a pure function of the config regardless of parallelism.
+    Chunks are evaluated in waves of `workers` threads and folded in index
+    order, so the counts are a pure function of the config regardless of
+    parallelism.  A wave holds one chunk of decoder state per thread, so the
+    threads are at most the chunks and the CPUs.
     """
     if cfg.chunk < 1:
         raise ValueError("chunk size must be positive")
@@ -123,8 +127,8 @@ def simulate_bler(cfg: SimConfig, workers=1) -> SimResult:
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     _check_decoder(cfg.f_mode, cfg.list_size)
-    w = int(workers)
     n_chunks = -(-target // cfg.chunk)
+    w = min(int(workers), n_chunks, os.cpu_count() or 1)
 
     def counts(j):
         take = min(cfg.chunk, target - j * cfg.chunk)

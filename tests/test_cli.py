@@ -272,6 +272,30 @@ def test_snr_search_cli(capsys, tmp_path):
     assert len(rep["evals"]) >= 3
 
 
+def test_negative_bracket_cli(capsys, tmp_path):
+    """``--bracket -1:2`` parses as ``--bracket=-1:2`` does, in snr-search and
+    in sweep, though argparse alone takes ``-1:2`` for an option."""
+    spec_path = tmp_path / "qup.json"
+    _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",
+         "--channel", "bec:0.5", "--out", str(spec_path))
+    search = ["snr-search", "--code", str(spec_path), "--target", "0.02",
+              "--tol", "1", "--max-trials", "4000", "--min-errors", "30"]
+    code, text, _ = _run(capsys, *search, "--bracket", "-1:2")
+    assert code == 0
+    assert json.loads(text)["evals"][0]["param"] == -1.0
+    assert _run(capsys, *search, "--bracket=-1:2") == (code, text, "")
+    outs = []
+    for bracket in (["--bracket", "-1:2"], ["--bracket=-1:2"]):
+        out = tmp_path / f"sweep{len(outs)}.csv"
+        code, _, _ = _run(capsys, "sweep", "--rate", "0.5", "--lengths", "5",
+                          "--schemes", "qup", "--target", "0.02", *bracket,
+                          "--max-trials", "4000", "--min-errors", "30",
+                          "--out", str(out))
+        assert code == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 2
+
+
 def test_simulate_cli_rejects_zero_workers(capsys, tmp_path):
     spec_path = tmp_path / "qup.json"
     _run(capsys, "baseline", "--type", "qup", "--n", "5", "--k", "2",

@@ -139,6 +139,21 @@ def test_shorten_pattern_positions_encode_to_zero(rng):
     assert (rm_encode(spec, msgs) == mother[:, kept]).all()
 
 
+def test_shorten_pattern_without_the_property_raises():
+    """Pair (1, 2) makes x1 = u1 ^ u2: shortening the frozen position 1 with
+    u2 carrying a message bit lacks the shortening property.  The check runs
+    over the information rows of the generator, so even the all-zero message,
+    which encodes to zero there, is refused."""
+    spec = CodeSpec(CouplingSequence(2, [(1, 2)]), (2,),
+                    rate_match=RateMatch("shorten", frozenset({1})))
+    for msg in ([1], [0], [[0], [1]]):
+        with pytest.raises(StructuralError, match="not zero"):
+            rm_encode(spec, np.asarray(msg, dtype=np.uint8))
+    ok = CodeSpec(CouplingSequence(2, [(1, 2)]), (1,),
+                  rate_match=RateMatch("shorten", frozenset({2})))
+    assert rm_encode(ok, np.asarray([[0], [1]], dtype=np.uint8)).tolist() == [[0], [1]]
+
+
 def test_shorten_misuse_raises():
     seq = make_regular_sequence(2)
     with pytest.raises(StructuralError, match="frozen"):

@@ -7,13 +7,15 @@ import oracles as O
 import vectors as V
 from stitchpolar.codes import (CRC11, CodeSpec, CrcConfig, RateMatch, encode,
                                rm_encode)
-from stitchpolar.decoding import (LLR_SAT, compile_schedule, f_exact, f_minsum,
+from stitchpolar.decoding import (_DEC, _F, _G, _XOR, LLR_SAT, compile_schedule,
+                                  f_exact, f_minsum,
                                   rm_llrs, sc_decode, sc_decode_batch,
                                   sc_trace, scl_decode, scl_decode_batch,
                                   schedule_for)
 from stitchpolar.reliability import (ChannelModel, build_baseline,
                                      channel_from_snr_db)
 from stitchpolar.sequences import CouplingSequence, make_regular_sequence
+from stitchpolar.simulate import channel_transmit
 from stitchpolar.stitching import build_family, partially_stitched
 
 
@@ -81,6 +83,108 @@ def test_register_rows_regular():
         assert _la_lb_rows(sched) <= 2 * n - 2, m
         assert sched.n_hard <= n, m
         assert sched.channel_sinks.tolist() == sorted(set(sched.channel_sinks.tolist()))
+
+
+def _per_kind(sched):
+    return [sum(op[0] == kind for op in sched.ops) for kind in range(4)]
+
+
+def test_pruned_op_counts_pinned(stc320):
+    """The dead-op pass keeps every decision and only the f/g/xor whose value
+    reaches an information decision: kept f/g/xor/decision counts, and the
+    la | lb and ua | ub rows (620/320 and 1022/512 in the full schedules)."""
+    awgn = channel_from_snr_db(1.0)
+    cases = [(stc320, [789, 949, 725, 320], 560, 149)]
+    cases += [(build_baseline("qup", 320, 160, awgn), [1105, 1457, 1793, 512], 768, 256),
+              (build_baseline("brs", 320, 160, awgn), [1291, 1259, 1153, 512], 960, 256)]
+    for spec, kept, soft, hard in cases:
+        full = schedule_for(spec)
+        pruned = compile_schedule(spec.sequence, spec.frozen, pruned=True)
+        assert _per_kind(full) == [len(spec.sequence)] * 3 + [spec.n_code]
+        assert _per_kind(pruned) == kept
+        assert (_la_lb_rows(pruned), pruned.n_hard) == (soft, hard)
+        assert pruned.pruned and not full.pruned
+
+
+def test_pruned_equals_full_at_320(rng, stc320):
+    """4096 noisy words: the pruned schedule decides the same bits as the
+    full one, on the stitched code and the rate-matched baselines."""
+    awgn = channel_from_snr_db(1.0)
+    specs = [stc320] + [build_baseline(kind, 320, 160, awgn) for kind in ("qup", "brs")]
+    for spec in specs:
+        for snr_db, f_mode in ((-1.0, "exact"), (0.5, "minsum")):
+            msg = rng.integers(0, 2, size=(4096, spec.message_length), dtype=np.uint8)
+            y = channel_transmit(rm_encode(spec, msg), channel_from_snr_db(snr_db), rng)
+            llrs = rm_llrs(spec, y)
+            full = sc_decode_batch(spec, llrs, f_mode)
+            pruned = sc_decode_batch(spec, llrs, f_mode, decision_llrs=False)
+            assert np.array_equal(pruned.u_hat, full.u_hat), (spec.n_code, snr_db)
+            assert pruned.decision_llrs is None
+            assert 0 < (full.info_bits != msg).any(axis=1).sum() < 4096
+
+
+def test_pruned_schedule_has_no_llrs_to_give(rng):
+    """Genie mode and list decoding read LLRs the pruned schedule never
+    computes, so neither runs on it."""
+    spec = CodeSpec(CouplingSequence(5, V.EX5_PAIRS), V.EX5_INFO)
+    with pytest.raises(ValueError, match="forced_u"):
+        sc_decode_batch(spec, rng.normal(size=(1, 5)), forced_u=np.zeros((1, 5)),
+                        decision_llrs=False)
+    pruned = compile_schedule(spec.sequence, spec.frozen, pruned=True)
+    with pytest.raises(ValueError, match="full schedule"):
+        pruned.live
+
+
+def _peak_live_rows(sched):
+    """The most la | lb and ua | ub values held at once, read off the
+    row-level ops.  A value is held from its write to its last read before
+    its row is written again; every channel LLR is held before the first op."""
+    n = sched.n_code
+    sinks = [int(r) for r in sched.channel_sinks if r >= n]
+    events = ([], [])  # per file: (op index, is a write, row)
+    for i, (kind, e, la, lb, ua, ub, dst, dst_b) in enumerate(sched.ops):
+        if kind in (_F, _G):
+            events[0].extend([(i, 0, la), (i, 0, lb), (i, 1, dst)])
+        if kind in (_G, _XOR):
+            events[1].append((i, 0, ua))
+        if kind == _XOR:
+            events[1].append((i, 0, ub))
+        if kind in (_XOR, _DEC) and dst >= 0:
+            events[1].append((i, 1, dst))
+    peaks = []
+    for f, low in ((0, n), (1, 0)):
+        written = {r: -1 for r in sinks} if f == 0 else {}
+        last_read = {}  # (row, write index) -> index of its last read
+        for i, is_write, r in sorted(events[f]):
+            if r < low:
+                continue
+            if is_write:
+                written[r] = i
+            else:
+                last_read[(r, written[r])] = i
+        held = np.zeros(len(sched.ops) + 1, dtype=np.int64)  # after op t, at t + 1
+        for (r, w), end in last_read.items():
+            held[w + 1:end + 1] += 1
+        held[0] = len(sinks) if f == 0 else 0
+        peaks.append(int(held.max()))
+    return peaks
+
+
+def test_rows_equal_peak_live_values(rng, stc320):
+    """Linear scan wastes no row: each file has as many rows as values are
+    ever held at once, in the full and in the pruned schedule."""
+    awgn = channel_from_snr_db(1.0)
+    specs = [stc320] + [build_baseline(kind, 320, 160, awgn) for kind in ("qup", "brs")]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(0, n + 1))
+        info = rng.choice(np.arange(1, n + 1), size=k, replace=False)
+        specs.append(CodeSpec(CouplingSequence(n, O.random_valid_pairs(rng, n)),
+                              tuple(sorted(info.tolist()))))
+    for spec in specs:
+        for pruned in (False, True):
+            sched = compile_schedule(spec.sequence, spec.frozen, pruned=pruned)
+            assert _peak_live_rows(sched) == [_la_lb_rows(sched), sched.n_hard]
 
 
 def _copy_lists_vs_oracle(spec):

@@ -9,8 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import oracles as O  # noqa: E402
-from stitchpolar.codes import CodeSpec, encode  # noqa: E402
-from stitchpolar.decoding import sc_decode_batch, scl_decode_batch  # noqa: E402
+from stitchpolar.codes import CodeSpec, RateMatch, encode  # noqa: E402
+from stitchpolar.decoding import (LLR_SAT, rm_llrs, sc_decode_batch,  # noqa: E402
+                                  scl_decode_batch)
 from stitchpolar.reliability import ChannelModel, channel_from_snr_db  # noqa: E402
 from stitchpolar.sequences import CouplingSequence  # noqa: E402
 from stitchpolar.simulate import SimConfig, simulate_bler  # noqa: E402
@@ -54,6 +55,34 @@ def test_batch_decode_equals_single_words(code, list_size):
             one = scl_decode_batch(spec, llrs[i:i + 1], list_size)
             assert (res.info_bits[i] == one.info_bits[0]).all()
             assert np.array_equal(res.metrics[i], one.metrics[0])
+
+
+@given(codes(max_n=24), st.sampled_from([None, "puncture", "shorten"]), st.booleans(),
+       st.sampled_from(["exact", "minsum"]))
+def test_pruned_schedule_decides_like_the_full_one(code, rm_mode, bec, f_mode):
+    """Dropping the ops that reach only frozen decisions changes no bit, on
+    AWGN and BEC LLRs with exact zeros and with punctured or shortened
+    positions (LLR 0 and +LLR_SAT)."""
+    spec, rng = code
+    if rm_mode is not None:
+        # a shortened pattern must be frozen; the decoder needs nothing more
+        pool = spec.frozen if rm_mode == "shorten" else range(1, spec.n_code + 1)
+        size = int(rng.integers(0, len(pool) + 1))
+        pattern = rng.choice(np.asarray(pool, dtype=np.int64), size=size, replace=False)
+        spec = CodeSpec(spec.sequence, spec.info,
+                        rate_match=RateMatch(rm_mode, frozenset(pattern.tolist())))
+    shape = (16, spec.outer_length)
+    if bec:
+        llrs = np.where(rng.random(shape) < 0.5, LLR_SAT, -LLR_SAT)
+        llrs[rng.random(shape) < 0.4] = 0.0
+    else:
+        llrs = rng.normal(size=shape) * 2
+        llrs[rng.random(shape) < 0.2] = 0.0
+    llrs = rm_llrs(spec, llrs)
+    full = sc_decode_batch(spec, llrs, f_mode)
+    pruned = sc_decode_batch(spec, llrs, f_mode, decision_llrs=False)
+    assert np.array_equal(pruned.u_hat, full.u_hat)
+    assert pruned.decision_llrs is None
 
 
 @given(codes(), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 1000))

@@ -266,3 +266,37 @@ def test_simulate_starts_no_wave_after_stop(monkeypatch):
         # the stop's wave may finish (or cancel) its other chunks; no later wave starts
         assert set(range(used)) <= set(calls)
         assert max(calls) < -(-used // w) * w
+
+
+def test_simulate_threads_bounded_by_chunks_and_cpus(monkeypatch):
+    """A huge worker count starts no more threads than there are chunks or
+    CPUs (the executor is a stand-in, so no thread starts), and the counts
+    stay those of one worker."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 4)
+    for trials, threads in ((3 * 64, 3), (10 * 64, 4)):
+        cfg = SimConfig(_ex5_spec(), ChannelModel("bec", 0.5), seed=5, trials=trials,
+                        chunk=64)
+        one = simulate_bler(cfg)
+        many = simulate_bler(cfg, workers=10 ** 9)
+        assert sizes == [threads]
+        assert (many.errors, many.bit_errors) == (one.errors, one.bit_errors)
+        sizes.clear()
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: None)
+    simulate_bler(cfg, workers=10 ** 9)
+    assert sizes == []  # no CPU count: the chunks run in this thread
