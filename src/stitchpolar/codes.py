@@ -161,31 +161,34 @@ class CodeSpec:
                           dtype=np.int64)
 
 
-def _apply_sequence(u, seq: CouplingSequence):
-    """Encode (B, N) input words in place.
-
-    The words are transposed once to (N, B), so that each batch slice XORs
-    whole contiguous rows, and transposed back.
-    """
-    rows = np.ascontiguousarray(u.T)
+def _butterflies(rows, seq: CouplingSequence):
+    """Encode (N, B) input rows in place: each batch slice XORs whole
+    contiguous rows."""
     pairs = seq.pairs
     for s, e in seq.batch_slices():
         rows[pairs[s:e, 0] - 1] ^= rows[pairs[s:e, 1] - 1]
-    u[...] = rows.T
+    return rows
+
+
+def _apply_sequence(u, seq: CouplingSequence):
+    """Encode (B, N) input words in place, transposed once to (N, B) rows
+    and back."""
+    u[...] = _butterflies(np.ascontiguousarray(u.T), seq).T
     return u
 
 
-def input_vector(spec: CodeSpec, info_bits):
-    """Input word(s) u: CRC-extended message at the info set, zeros elsewhere."""
+def _encode_rows(spec: CodeSpec, info_bits):
+    """(N, B) mother codeword rows: the CRC-extended message at the info
+    set, zeros elsewhere, encoded in place."""
     bits = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
     if bits.shape[-1] != spec.message_length:
         raise ValueError(
             f"expected {spec.message_length} message bits, got {bits.shape[-1]}")
     if spec.crc is not None:
         bits = crc_append(bits, spec.crc)
-    u = np.zeros((bits.shape[0], spec.n_code), np.uint8)
-    u[:, np.asarray(spec.info, dtype=np.int64) - 1] = bits
-    return u
+    rows = np.zeros((spec.n_code, bits.shape[0]), np.uint8)
+    rows[np.asarray(spec.info, dtype=np.int64) - 1] = bits.T
+    return _butterflies(rows, spec.sequence)
 
 
 def encode(spec: CodeSpec, info_bits):
@@ -194,10 +197,8 @@ def encode(spec: CodeSpec, info_bits):
     Accepts a single length-K vector or a (B, K) batch; returns the matching
     shape with N columns.  Rate matching is not applied here, see rm_encode.
     """
-    bits = np.asarray(info_bits)
-    u = input_vector(spec, bits)
-    x = _apply_sequence(u, spec.sequence)
-    return x[0] if bits.ndim == 1 else x
+    x = np.ascontiguousarray(_encode_rows(spec, info_bits).T)
+    return x[0] if np.ndim(info_bits) == 1 else x
 
 
 def generator_matrix(seq: CouplingSequence):
@@ -226,18 +227,18 @@ def rm_encode(spec: CodeSpec, info_bits):
     Punctured positions are simply dropped.  Shortened positions are frozen
     (`CodeSpec` checks that) and must encode to zero for every message; the
     first encode of a spec checks that once, and a pattern without this
-    shortening property for the sequence is a StructuralError.
+    shortening property for the sequence is a StructuralError.  The words
+    are encoded as (N, B) rows, and the transmitted rows are transposed
+    once into the (B, N_kept) result.
     """
     rm = spec.rate_match
-    if rm is None:
-        return encode(spec, info_bits)
-    if rm.mode == "shorten":
+    if rm is not None and rm.mode == "shorten":
         _check_shortening(spec)
-    bits = np.asarray(info_bits)
-    x = np.atleast_2d(encode(spec, bits))
-    kept = spec.kept_positions() - 1
-    out = x[:, kept]
-    return out[0] if bits.ndim == 1 else out
+    rows = _encode_rows(spec, info_bits)
+    if rm is not None:
+        rows = rows[spec.kept_positions() - 1]
+    out = np.ascontiguousarray(rows.T)
+    return out[0] if np.ndim(info_bits) == 1 else out
 
 
 def spec_to_json(spec: CodeSpec) -> dict:

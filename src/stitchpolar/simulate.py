@@ -20,7 +20,10 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .codes import CodeSpec, rm_encode
-from .decoding import LLR_SAT, _check_decoder, rm_llrs, sc_decode_batch, scl_decode_batch
+from .decoding import LLR_SAT, _check_decoder, sc_decode_batch, scl_decode_batch
+# not on the chunk path, which hands the decoders transmitted-length LLRs:
+# kept as a module name for the span tracer's patch site (perfbench/spans.py)
+from .decoding import rm_llrs  # noqa: F401
 from .reliability import ChannelModel, build_baseline, channel_from_snr_db
 from .stitching import CodeFamily, partially_stitched
 
@@ -99,15 +102,15 @@ def _chunk_counts(cfg: SimConfig, index, take):
     rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(index))
     k_msg = cfg.spec.message_length
     msg = rng.integers(0, 2, size=(cfg.chunk, k_msg), dtype=np.uint8)
-    x = rm_encode(cfg.spec, msg)
-    llr = rm_llrs(cfg.spec, channel_transmit(x, cfg.channel, rng))
+    # the whole chunk is drawn, so the stream does not depend on take
+    llr = channel_transmit(rm_encode(cfg.spec, msg), cfg.channel, rng)[:take]
     if cfg.list_size == 1:
         dec = sc_decode_batch(cfg.spec, llr, f_mode=cfg.f_mode,
                               decision_llrs=False).info_bits
     else:
         dec = scl_decode_batch(cfg.spec, llr, cfg.list_size,
                                f_mode=cfg.f_mode).chosen_bits
-    wrong = (dec[:, :k_msg] != msg)[:take]
+    wrong = dec[:, :k_msg] != msg[:take]
     return int(wrong.any(axis=1).sum()), int(wrong.sum())
 
 

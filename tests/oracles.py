@@ -304,3 +304,57 @@ def live_registers_ref(pairs, n, steps, info):
             out[e] = tuple(sorted(r for r, w in writes.items() if w < t < ends[r])
                            for writes, ends in ((soft_w, soft_end), (hard_w, hard_end)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# structural constants of a row-level decode schedule, by a forward scan
+
+def structural_constants(steps, zero_rows):
+    """Ops of a row-level schedule whose result the code fixes on its own.
+
+    ``steps`` lists ('f', la, lb, dst), ('g', la, lb, ua, dst),
+    ('add', la, lb, dst), ('xor', ua, ub, dst, dst_b) and
+    ('d', la, dst, frozen) in schedule order, with soft and hard row numbers
+    (-1 for an output that is not stored).  ``zero_rows`` are the soft rows
+    holding a 0 before the first op (punctured positions).  A forward scan
+    tracks which rows hold a structural zero: an LLR of 0 (a seeded zero,
+    f with a zero input, g or add of two zeros) or a bit of 0 (a frozen
+    decision, a decision on a zero LLR, an xor of two zeros).  Returns the step indices whose output is such a
+    constant, and those that could be folded: a g reading a zero ua, a g or
+    add reading a zero la, or an xor reading a zero side (a g or add with a
+    zero lb only is +/-la, and stays).
+    """
+    soft = set(zero_rows)
+    hard = set()
+    constant, foldable = [], []
+
+    def put(rows, row, is_zero):
+        if row >= 0:
+            (rows.add if is_zero else rows.discard)(row)
+
+    for t, step in enumerate(steps):
+        kind = step[0]
+        if kind == "f":
+            _, la, lb, dst = step
+            out = la in soft or lb in soft
+            put(soft, dst, out)
+        elif kind in ("g", "add"):
+            la, lb = step[1], step[2]
+            if la in soft or (kind == "g" and step[3] in hard):
+                foldable.append(t)
+            out = la in soft and lb in soft
+            put(soft, step[-1], out)
+        elif kind == "xor":
+            _, ua, ub, dst, dst_b = step
+            if ua in hard or ub in hard:
+                foldable.append(t)
+            out = ua in hard and ub in hard
+            put(hard, dst, out)
+            put(hard, dst_b, ub in hard)
+        else:
+            _, la, dst, frozen = step
+            out = frozen or la in soft
+            put(hard, dst, out)
+        if out:
+            constant.append(t)
+    return constant, foldable

@@ -7,8 +7,8 @@ import oracles as O
 import vectors as V
 from stitchpolar.codes import (CRC11, CodeSpec, CrcConfig, RateMatch, encode,
                                rm_encode)
-from stitchpolar.decoding import (_DEC, _F, _G, _XOR, LLR_SAT, compile_schedule,
-                                  f_exact, f_minsum,
+from stitchpolar.decoding import (_ADD, _DEC, _F, _G, _XOR, LLR_SAT, _execute,
+                                  compile_schedule, f_exact, f_minsum,
                                   rm_llrs, sc_decode, sc_decode_batch,
                                   sc_trace, scl_decode, scl_decode_batch,
                                   schedule_for)
@@ -86,21 +86,27 @@ def test_register_rows_regular():
 
 
 def _per_kind(sched):
-    return [sum(op[0] == kind for op in sched.ops) for kind in range(4)]
+    return [sum(op[0] == kind for op in sched.ops) for kind in (_F, _G, _XOR, _DEC, _ADD)]
 
 
 def test_pruned_op_counts_pinned(stc320):
-    """The dead-op pass keeps every decision and only the f/g/xor whose value
-    reaches an information decision: kept f/g/xor/decision counts, and the
-    la | lb and ua | ub rows (620/320 and 1022/512 in the full schedules)."""
+    """The constant and dead-op pass keeps the information decisions on LLRs
+    that are not structural zeros and only the f/g/xor/add whose value
+    reaches one of them: kept f/g/xor/decision/add counts, and the la | lb
+    and ua | ub rows (620/320 and 1022/512 in the full schedules), for
+    full-length LLRs and, on the rate-matched codes, for transmitted-length
+    LLRs, whose punctured zeros fold too."""
     awgn = channel_from_snr_db(1.0)
-    cases = [(stc320, [789, 949, 725, 320], 560, 149)]
-    cases += [(build_baseline("qup", 320, 160, awgn), [1105, 1457, 1793, 512], 768, 256),
-              (build_baseline("brs", 320, 160, awgn), [1291, 1259, 1153, 512], 960, 256)]
-    for spec, kept, soft, hard in cases:
-        full = schedule_for(spec)
-        pruned = compile_schedule(spec.sequence, spec.frozen, pruned=True)
-        assert _per_kind(full) == [len(spec.sequence)] * 3 + [spec.n_code]
+    qup, brs = (build_baseline(kind, 320, 160, awgn) for kind in ("qup", "brs"))
+    cases = [(stc320, None, [789, 789, 470, 160, 160], 560, 95),
+             (qup, None, [1105, 1105, 594, 160, 352], 768, 128),
+             (qup, qup.rate_match, [913, 913, 594, 160, 160], 448, 128),
+             (brs, None, [1291, 1099, 780, 160, 160], 960, 256),
+             (brs, brs.rate_match, [1291, 1099, 780, 160, 160], 769, 256)]
+    for spec, rm, kept, soft, hard in cases:
+        full = compile_schedule(spec.sequence, spec.frozen, rate_match=rm)
+        pruned = compile_schedule(spec.sequence, spec.frozen, pruned=True, rate_match=rm)
+        assert _per_kind(full) == [len(spec.sequence)] * 3 + [spec.n_code, 0]
         assert _per_kind(pruned) == kept
         assert (_la_lb_rows(pruned), pruned.n_hard) == (soft, hard)
         assert pruned.pruned and not full.pruned
@@ -135,16 +141,71 @@ def test_pruned_schedule_has_no_llrs_to_give(rng):
         pruned.live
 
 
+def _schedule_steps(sched):
+    """The row-level ops in the oracle's format."""
+    names = {_F: "f", _G: "g", _ADD: "add", _XOR: "xor"}
+    steps = []
+    for kind, e, la, lb, ua, ub, dst, dst_b in sched.ops:
+        if kind == _DEC:
+            steps.append(("d", la, dst, bool(sched.frozen_mask[e])))
+        elif kind == _XOR:
+            steps.append(("xor", ua, ub, dst, dst_b))
+        elif kind == _G:
+            steps.append(("g", la, lb, ua, dst))
+        else:
+            steps.append((names[kind], la, lb, dst))
+    return steps
+
+
+def _random_rate_matched(rng, n_max):
+    """A random valid code, punctured, shortened or neither."""
+    n = int(rng.integers(2, n_max))
+    k = int(rng.integers(1, n + 1))
+    info = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
+    spec = CodeSpec(CouplingSequence(n, O.random_valid_pairs(rng, n)), info)
+    mode = ("puncture", "shorten", None)[int(rng.integers(0, 3))]
+    if mode is None:
+        return spec
+    # a shortened pattern must be frozen; the decoder needs nothing more
+    pool = np.asarray(spec.frozen if mode == "shorten" else range(1, n + 1), dtype=np.int64)
+    pattern = rng.choice(pool, size=int(rng.integers(0, pool.size + 1)), replace=False)
+    return CodeSpec(spec.sequence, info, rate_match=RateMatch(mode, frozenset(pattern.tolist())))
+
+
+def test_pruned_schedules_hold_no_structural_constants(rng, stc320):
+    """A forward constant scan finds no op left in a pruned schedule whose
+    output the code fixes, and none left to fold; in the full schedule it
+    finds some (the frozen decisions at least)."""
+    awgn = channel_from_snr_db(1.0)
+    specs = [stc320] + [build_baseline(kind, n, n // 2, awgn)
+                        for kind in ("qup", "brs") for n in (40, 320)]
+    specs += [_random_rate_matched(rng, 40) for _ in range(60)]
+    for spec in specs:
+        for rm in {None, spec.rate_match}:
+            for pruned in (False, True):
+                sched = compile_schedule(spec.sequence, spec.frozen, pruned, rm)
+                rows, vals = sched.const_sinks
+                constant, foldable = O.structural_constants(
+                    _schedule_steps(sched), rows[vals == 0].tolist())
+                if pruned:
+                    assert (constant, foldable) == ([], []), spec
+                elif spec.frozen:
+                    assert constant
+
+
 def _peak_live_rows(sched):
     """The most la | lb and ua | ub values held at once, read off the
     row-level ops.  A value is held from its write to its last read before
-    its row is written again; every channel LLR is held before the first op."""
+    its row is written again; every channel LLR and rate-matched constant is
+    held before the first op."""
     n = sched.n_code
-    sinks = [int(r) for r in sched.channel_sinks if r >= n]
+    sinks = [int(r) for r in np.append(sched.channel_sinks, sched.const_sinks[0]) if r >= n]
     events = ([], [])  # per file: (op index, is a write, row)
     for i, (kind, e, la, lb, ua, ub, dst, dst_b) in enumerate(sched.ops):
-        if kind in (_F, _G):
+        if kind in (_F, _G, _ADD):
             events[0].extend([(i, 0, la), (i, 0, lb), (i, 1, dst)])
+        if kind == _DEC:
+            events[0].append((i, 0, la))
         if kind in (_G, _XOR):
             events[1].append((i, 0, ua))
         if kind == _XOR:
@@ -172,9 +233,11 @@ def _peak_live_rows(sched):
 
 def test_rows_equal_peak_live_values(rng, stc320):
     """Linear scan wastes no row: each file has as many rows as values are
-    ever held at once, in the full and in the pruned schedule."""
+    ever held at once, in the full and in the pruned schedule, for full-length
+    and for transmitted-length LLRs."""
     awgn = channel_from_snr_db(1.0)
-    specs = [stc320] + [build_baseline(kind, 320, 160, awgn) for kind in ("qup", "brs")]
+    baselines = [build_baseline(kind, 320, 160, awgn) for kind in ("qup", "brs")]
+    specs = [stc320] + baselines
     for _ in range(40):
         n = int(rng.integers(2, 40))
         k = int(rng.integers(0, n + 1))
@@ -185,6 +248,33 @@ def test_rows_equal_peak_live_values(rng, stc320):
         for pruned in (False, True):
             sched = compile_schedule(spec.sequence, spec.frozen, pruned=pruned)
             assert _peak_live_rows(sched) == [_la_lb_rows(sched), sched.n_hard]
+    for spec in baselines:
+        for pruned in (False, True):
+            sched = compile_schedule(spec.sequence, spec.frozen, pruned, spec.rate_match)
+            assert _peak_live_rows(sched) == [_la_lb_rows(sched), sched.n_hard]
+
+
+def test_doubly_shortened_pairs_free_their_row_once(rng):
+    """Regular codes shortened at a tail: the last pairs read the pruned
+    schedule's one shortened register at both ends, and an op that reads it
+    twice frees its row once.  No live value is overwritten, so the
+    information decisions' LLRs equal those of the full schedule on the
+    lifted LLRs, and each file has as many rows as values held at once."""
+    for m in (2, 3, 4):
+        n = 1 << m
+        seq = make_regular_sequence(m)
+        for s in range(2, n):
+            info = tuple(range(1, n - s + 1))
+            tail = RateMatch("shorten", frozenset(range(n - s + 1, n + 1)))
+            spec = CodeSpec(seq, info, rate_match=tail)
+            rm_encode(spec, np.zeros(len(info), dtype=np.uint8))  # the tail encodes to zero
+            sched = compile_schedule(seq, spec.frozen, pruned=True, rate_match=spec.rate_match)
+            assert _peak_live_rows(sched) == [_la_lb_rows(sched), sched.n_hard]
+            y = rng.normal(size=(32, spec.outer_length)) * 2
+            u, _, dec, _ = _execute(sched, y, "minsum")
+            want_u, _, want, _ = _execute(schedule_for(spec), rm_llrs(spec, y), "minsum")
+            assert np.array_equal(u, want_u), (n, s)
+            assert np.array_equal(dec[:len(info)], want[:len(info)]), (n, s)
 
 
 def _copy_lists_vs_oracle(spec):
@@ -238,6 +328,19 @@ def test_f_rules(rng):
     assert (np.sign(ex[nz]) == np.sign(ms[nz])).all()
     assert f_minsum(3.0, -2.0) == -2.0
     assert f_exact(5.0, 0.0) == pytest.approx(0.0)
+
+
+def test_minsum_copysign_equals_sign_product():
+    """Min-sum's one copysign gives the values of the two sign factors, on
+    zeros, +/-LLR_SAT, subnormals and products that underflow."""
+    vals = np.array([0.0, -0.0, 1e-320, -1e-320, 5e-324, 1e-200, -1e-200, 1e-160,
+                     0.5, -2.0, 3.0, LLR_SAT, -LLR_SAT, 7 * LLR_SAT, -1e150])
+    la, lb = (a.ravel() for a in np.meshgrid(vals, vals))
+    ref = np.sign(la) * np.sign(lb) * np.minimum(np.abs(la), np.abs(lb))
+    got = f_minsum(la, lb)
+    assert (got == ref).all()
+    assert (np.signbit(got) == np.signbit(ref))[ref != 0].all()
+    assert f_minsum(1e-200, -1e-200) == -1e-200  # the product underflows to -0.0
 
 
 def test_trace_worked_example():
@@ -469,6 +572,67 @@ def test_rm_llrs_fills():
     assert (rm_llrs(plain, x) == x).all()
     with pytest.raises(ValueError):
         rm_llrs(q, np.zeros(8))
+
+
+def _rate_matched_llrs(rng, spec, bsz, bec):
+    """(B, N_kept) LLRs of the transmitted positions, with exact zeros."""
+    shape = (bsz, spec.outer_length)
+    if bec:
+        llrs = np.where(rng.random(shape) < 0.5, LLR_SAT, -LLR_SAT)
+        llrs[rng.random(shape) < 0.4] = 0.0
+    else:
+        llrs = rng.normal(size=shape) * 2
+        llrs[rng.random(shape) < 0.05] = 0.0
+    return llrs
+
+
+def test_transmitted_llrs_decode_like_lifted_ones(rng):
+    """Transmitted-length LLRs, seeded through the rate-matched sink map,
+    decode like the same LLRs lifted to full length by ``rm_llrs``: pruned
+    SC decides the same bits, full SC also gives equal decision LLRs, and
+    SCL with L = 4 the same paths and metrics."""
+    awgn = channel_from_snr_db(1.0)
+    specs = [build_baseline(kind, n, n // 2, awgn) for kind in ("qup", "brs") for n in (40, 320)]
+    specs += [_random_rate_matched(rng, 30) for _ in range(40)]
+    for spec in specs:
+        big = spec.n_code > 64
+        for bec in (False, True):
+            y = _rate_matched_llrs(rng, spec, 256 if big else 24, bec)
+            lifted = rm_llrs(spec, y)
+            for f_mode in ("exact", "minsum"):
+                full = sc_decode_batch(spec, lifted, f_mode)
+                got = sc_decode_batch(spec, y, f_mode)
+                assert np.array_equal(got.u_hat, full.u_hat)
+                assert np.array_equal(got.decision_llrs, full.decision_llrs)
+                pruned = sc_decode_batch(spec, y, f_mode, decision_llrs=False)
+                assert np.array_equal(pruned.u_hat, full.u_hat), (spec, bec, f_mode)
+            part = slice(0, 16) if big else slice(None)
+            want = scl_decode_batch(spec, lifted[part], 4)
+            got = scl_decode_batch(spec, y[part], 4)
+            assert np.array_equal(got.info_bits, want.info_bits)
+            assert np.array_equal(got.metrics, want.metrics)
+            assert np.array_equal(got.selected, want.selected)
+
+
+def test_transmitted_llrs_reject_nan_and_saturate_inf(rng):
+    spec = build_baseline("qup", 40, 20, channel_from_snr_db(1.0))
+    y = rng.normal(size=(3, spec.outer_length))
+    bad = y.copy()
+    bad[1, 2] = np.nan
+    for call in (lambda v: sc_decode_batch(spec, v, decision_llrs=False),
+                 lambda v: sc_decode_batch(spec, v), lambda v: scl_decode_batch(spec, v, 2)):
+        with pytest.raises(ValueError, match="NaN"):
+            call(bad)
+    inf = y.copy()
+    inf[0, 1], inf[2, 4] = np.inf, -np.inf
+    sat = np.where(np.isinf(inf), np.copysign(LLR_SAT, inf), inf)
+    for decision_llrs in (True, False):
+        got = sc_decode_batch(spec, inf, decision_llrs=decision_llrs)
+        want = sc_decode_batch(spec, sat, decision_llrs=decision_llrs)
+        assert np.array_equal(got.u_hat, want.u_hat)
+    assert np.isfinite(sc_decode_batch(spec, inf).decision_llrs).all()
+    with pytest.raises(ValueError, match="expected 40 or 64 LLRs"):
+        sc_decode_batch(spec, np.zeros((1, 41)))
 
 
 def test_decoder_checks_llr_length():

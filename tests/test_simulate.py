@@ -7,7 +7,7 @@ from scipy.stats import beta
 import oracles as O
 import vectors as V
 from stitchpolar import simulate as simulate_module
-from stitchpolar.codes import CodeSpec, CrcConfig, encode
+from stitchpolar.codes import CodeSpec, CrcConfig, encode, rm_encode
 from stitchpolar.decoding import LLR_SAT, compile_schedule, sc_decode_batch
 from stitchpolar.reliability import (ChannelModel, build_baseline,
                                      channel_from_snr_db)
@@ -300,3 +300,31 @@ def test_simulate_threads_bounded_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: None)
     simulate_bler(cfg, workers=10 ** 9)
     assert sizes == []  # no CPU count: the chunks run in this thread
+
+
+def test_last_chunk_decodes_only_its_words(monkeypatch):
+    """A fixed-trial run decodes only the words it counts: the last chunk
+    still draws all its words, so the stream and the counts are those of
+    decoding the whole chunk and counting the first ``take``."""
+    spec = build_baseline("qup", 40, 20, channel_from_snr_db(1.0))
+    chan = channel_from_snr_db(0.0)
+    sizes = []
+    decode = simulate_module.sc_decode_batch
+
+    def recorded(spec, llrs, *args, **kw):
+        sizes.append(len(llrs))
+        return decode(spec, llrs, *args, **kw)
+
+    monkeypatch.setattr(simulate_module, "sc_decode_batch", recorded)
+    res = simulate_bler(SimConfig(spec, chan, seed=3, trials=5000))
+    assert sizes == [4096, 904]
+    errors = bit_errors = 0
+    for index, take in ((0, 4096), (1, 904)):
+        rng = np.random.Generator(np.random.Philox(key=3).jumped(index))
+        msg = rng.integers(0, 2, size=(4096, spec.message_length), dtype=np.uint8)
+        llrs = channel_transmit(rm_encode(spec, msg), chan, rng)
+        wrong = (decode(spec, llrs, decision_llrs=False).info_bits != msg)[:take]
+        errors += int(wrong.any(axis=1).sum())
+        bit_errors += int(wrong.sum())
+    assert (res.trials, res.errors, res.bit_errors) == (5000, errors, bit_errors)
+    assert errors > 0
